@@ -1,0 +1,181 @@
+"""Command-line interface: catalog lookup, family tables, comparison,
+validation, canonical keys.
+
+Targets may be a table-knot name (``4_1``, ``5_1``, ``5_2``, ``6_1``), a
+family reference ``family:n`` (families ``motto``, ``ll1``, ``ll1v``,
+``ll2``, ``e``), or a diagram file path (``-`` for stdin).  Exit status:
+0 on success (an inconclusive verdict is not an error), 2 on usage errors,
+3 on parse or validation errors in input files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import re
+import sys
+
+from .catalog_io import DiagramDocument, parse, serialize
+from .diagram import Diagram, canonical_form, shape_of, validate_diagram
+from .errors import DiagramError, ParameterOutOfDomain, ParseError
+from .families import (Family, TableKnot, base_diagram, decide_equivalence,
+                       distinguish, family_diagram)
+from .labels import Strictness, label_to_text
+
+_FAMILY_REF = re.compile(r"(motto|ll1v|ll1|ll2|e):(-?\d+)")
+_KNOT_NAMES = {k.value: k for k in TableKnot}
+
+
+class _CliError(Exception):
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _read_document(path: str) -> DiagramDocument:
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as err:
+            raise _CliError(2, f"cannot read {path}: {err.strerror}") from None
+    try:
+        return parse(text)
+    except (ParseError, DiagramError) as err:
+        raise _CliError(3, f"{path}: {err}") from None
+
+
+def _resolve_diagram(target: str) -> Diagram:
+    if target in _KNOT_NAMES:
+        entry = base_diagram(_KNOT_NAMES[target])
+        if entry.diagram is None:
+            raise _CliError(2, f"{target} has no recorded diagram")
+        return entry.diagram
+    m = _FAMILY_REF.fullmatch(target)
+    if m:
+        try:
+            return family_diagram(Family(m.group(1)), int(m.group(2)))
+        except ParameterOutOfDomain as err:
+            raise _CliError(2, str(err)) from None
+    return _read_document(target).diagram
+
+
+def _cmd_show(args: argparse.Namespace) -> int:
+    target = args.target
+    if target in _KNOT_NAMES:
+        entry = base_diagram(_KNOT_NAMES[target])
+        facts = (f"shape={entry.shape.value}; exterior determines knot "
+                 f"type: {entry.exterior_determines.value}")
+        if entry.diagram is None:
+            print(f"{entry.name}: no diagram recorded")
+            print(f"shape: {entry.shape.value}")
+            print("exterior determines knot type: "
+                  f"{entry.exterior_determines.value}")
+            print(f"note: {entry.notes}")
+            return 0
+        doc = DiagramDocument(entry.diagram, name=entry.name, note=facts)
+    elif _FAMILY_REF.fullmatch(target):
+        d = _resolve_diagram(target)
+        doc = DiagramDocument(d, name=target,
+                              note=f"shape={shape_of(d).value}")
+    else:
+        doc = _read_document(target)
+    print(serialize(doc), end="")
+    return 0
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
+    if args.frm > args.to:
+        raise _CliError(2, f"empty range: {args.frm} > {args.to}")
+    family = Family(args.family)
+    for n in range(args.frm, args.to + 1):
+        try:
+            d = family_diagram(family, n)
+        except ParameterOutOfDomain:
+            continue
+        labels = ",".join(label_to_text(e.label) for e in d.edges)
+        print(f"{n}\t{labels}\t{shape_of(d).value}")
+    return 0
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    d1 = _resolve_diagram(args.a)
+    d2 = _resolve_diagram(args.b)
+    if args.homeo:
+        verdict = decide_equivalence(d1, d2, exteriors_homeomorphic=True)
+    else:
+        verdict = distinguish(d1, d2)
+    print(verdict.value)
+    return 0
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
+    doc = _read_document(args.path)
+    strictness = Strictness.STRICT if args.strict else Strictness.LENIENT
+    result = validate_diagram(doc.diagram, strictness)
+    for w in result.warnings:
+        print(f"warning: {w}")
+    for v in result.violations:
+        print(v)
+    if result.violations:
+        return 3
+    print("ok")
+    return 0
+
+
+def _cmd_canon(args: argparse.Namespace) -> int:
+    print(canonical_form(_resolve_diagram(args.target)).hex())
+    return 0
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="anndiag",
+        description="Annulus-diagram calculus for genus-two handlebody-knots.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("show", help="print a diagram and its shape")
+    p.add_argument("target", help="table knot, family:n, or file path")
+    p.set_defaults(func=_cmd_show)
+
+    p = sub.add_parser("table", help="tabulate a family over a parameter range")
+    p.add_argument("family", choices=[f.value for f in Family])
+    p.add_argument("frm", metavar="FROM", type=int)
+    p.add_argument("to", metavar="TO", type=int)
+    p.set_defaults(func=_cmd_table)
+
+    p = sub.add_parser("compare", help="compare two diagrams")
+    p.add_argument("--homeo", action="store_true",
+                   help="the two exteriors are known to be homeomorphic")
+    p.add_argument("a", help="table knot, family:n, or file path")
+    p.add_argument("b", help="table knot, family:n, or file path")
+    p.set_defaults(func=_cmd_compare)
+
+    p = sub.add_parser("validate", help="check a diagram file")
+    p.add_argument("--strict", action="store_true",
+                   help="also enforce non-integrality of k2 slopes")
+    p.add_argument("path", help="diagram file, or - for stdin")
+    p.set_defaults(func=_cmd_validate)
+
+    p = sub.add_parser("canon", help="print the canonical key as hex")
+    p.add_argument("target", help="table knot, family:n, or file path")
+    p.set_defaults(func=_cmd_canon)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _CliError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return err.status
+
+
+def entry() -> None:
+    sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

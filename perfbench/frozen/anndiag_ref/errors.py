@@ -1,0 +1,75 @@
+"""Exception types shared across the package.
+
+Validation problems (bad labels, lemma-violating diagrams) are *not*
+exceptions; they are reported as violation lists by ``validate_label`` and
+``validate_diagram``.  The classes here cover unconstructible values and
+unparseable text only.
+"""
+
+from __future__ import annotations
+
+
+class SlopeError(ValueError):
+    """Base class for slope construction and transform errors."""
+
+
+class ZeroOverZero(SlopeError):
+    """Raised when a slope would be 0/0, which represents nothing."""
+
+
+class NotUnimodular(SlopeError):
+    """Raised when a linear-fractional transform matrix has |det| != 1."""
+
+
+class InfiniteSlope(SlopeError):
+    """Raised when an operation defined for finite slopes receives infinity."""
+
+
+class ParameterOutOfDomain(ValueError):
+    """Raised when a family parameter violates the family's precondition."""
+
+
+class DiagramError(ValueError):
+    """Base class for structural diagram errors."""
+
+
+class DanglingEndpoint(DiagramError):
+    """Raised when an edge references a node index that does not exist.
+
+    Carries an optional 1-based ``line`` when surfaced by the file parser.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message)
+        self.line = line
+
+
+class TooManyNodes(DiagramError):
+    """Raised when a diagram exceeds the canonicalization bound of 16 nodes.
+
+    Carries an optional 1-based ``line`` when surfaced by the file parser.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message)
+        self.line = line
+
+
+class ParseError(ValueError):
+    """A positioned syntax error: 1-based line and column, plus the token
+    classes that would have been accepted at that point."""
+
+    def __init__(self, message: str, line: int = 1, col: int = 1,
+                 expected: tuple[str, ...] = ()):
+        self.message = message
+        self.line = line
+        self.col = col
+        self.expected = expected
+        detail = f"line {line}, column {col}: {message}"
+        if expected:
+            detail += " (expected " + " | ".join(expected) + ")"
+        super().__init__(detail)
+
+
+class UnsupportedVersion(ParseError):
+    """Raised for a well-formed header whose format version is unknown."""

@@ -1,0 +1,210 @@
+"""Twist families, the small knot catalog, and equivalence decisions.
+
+Each family is an infinite sequence of genus-two handlebody-knots obtained
+by re-embedding one exterior via n twists along a twisting annulus or disk,
+so all members of a family share a homeomorphic exterior.  The generators
+here emit the resulting annulus diagrams directly; the twist acts on the
+recorded slope data through a family-specific unimodular matrix.
+
+Slope formulas per family (n the twist count):
+
+* Motto family (twists on the 6_1 exterior): h2 plus k2 with slope
+  2/(1 - 2n).
+* Lee-Lee family I (twists on 5_1 along a disk, n != 0): a single l edge
+  with slope pair (1/n, n).
+* Lee-Lee I variant (twists on 5_1 along an annulus, n not in {0, -1}):
+  a single l edge with slope pair (n/(n+1), (n+1)/n).
+* Lee-Lee family II (twists on 5_2): a stick with k1 slope 4/3 + 4n.
+* E family: a single h2 edge for every n; its members are inequivalent even
+  though diagram and exterior agree, which bounds what any decision on the
+  circle shape may conclude.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+
+from .diagram import Diagram, Edge, NodeKind, ShapeClass, are_isomorphic, shape_of
+from .errors import ParameterOutOfDomain
+from .labels import H1, H2, ell, k1, k2
+from .rational import Slope, SlopePair, apply_unimodular
+
+__all__ = [
+    "Family",
+    "TableKnot",
+    "ExteriorDetermines",
+    "Verdict",
+    "CatalogEntry",
+    "family_diagram",
+    "base_diagram",
+    "distinguish",
+    "decide_equivalence",
+    "e_family_crossing_number",
+    "leelee2_companion_torus_knot",
+]
+
+
+class Family(Enum):
+    MOTTO = "motto"
+    LL1 = "ll1"
+    LL1_VARIANT = "ll1v"
+    LL2 = "ll2"
+    E = "e"
+
+
+class TableKnot(Enum):
+    K4_1 = "4_1"
+    K5_1 = "5_1"
+    K5_2 = "5_2"
+    K6_1 = "6_1"
+
+
+class ExteriorDetermines(Enum):
+    YES = "yes"
+    NO = "no"
+    UNKNOWN = "unknown"
+
+
+class Verdict(Enum):
+    INEQUIVALENT = "inequivalent"
+    EQUIVALENT = "equivalent"
+    INCONCLUSIVE = "inconclusive"
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """A named table knot: its recorded diagram (if stated anywhere), shape,
+    and whether its exterior is known to determine its knot type."""
+
+    name: str
+    diagram: Diagram | None
+    shape: ShapeClass
+    exterior_determines: ExteriorDetermines
+    notes: str
+
+    def __post_init__(self):
+        if self.diagram is not None and shape_of(self.diagram) is not self.shape:
+            raise ValueError(f"recorded shape {self.shape} does not match diagram")
+
+
+_U = NodeKind.UNKNOWN
+
+# Base slopes the twists act on: the k2 slope of 6_1 and the k1 slope of 5_2.
+_MOTTO_BASE = Slope(2, 1)
+_LL2_BASE = Slope(4, 3)
+
+
+def family_diagram(f: Family, n: int) -> Diagram:
+    """The annulus diagram of the n-th member of a twist family.
+
+    LL1 requires n != 0 and LL1_VARIANT requires n not in {0, -1} (at those
+    parameters the stated slope data degenerates); Motto, LL2, and E accept
+    every integer.  Node kinds are recorded UNKNOWN: separating labels (k1,
+    k2, em) join two distinct nodes, the non-separating l label is a loop on
+    a single node, and the h2 edge of the circle layouts joins two distinct
+    nodes.
+    """
+    if f is Family.MOTTO:
+        slope = apply_unimodular(_MOTTO_BASE, 1, 0, -n, 1)
+        return Diagram((_U, _U, _U), (Edge(0, 1, H2), Edge(1, 2, k2(slope))))
+    if f is Family.LL1:
+        if n == 0:
+            raise ParameterOutOfDomain("ll1 requires n != 0")
+        pair = SlopePair(Slope(1, n), Slope(n, 1))
+        return Diagram((_U,), (Edge(0, 0, ell(pair)),))
+    if f is Family.LL1_VARIANT:
+        if n in (0, -1):
+            raise ParameterOutOfDomain(
+                "ll1v requires n not in {0, -1}: slope n/(n+1) must be "
+                "defined and non-integral")
+        pair = SlopePair(Slope(n, n + 1), Slope(n + 1, n))
+        return Diagram((_U,), (Edge(0, 0, ell(pair)),))
+    if f is Family.LL2:
+        slope = apply_unimodular(_LL2_BASE, 1, 4 * n, 0, 1)
+        return Diagram((_U, _U), (Edge(0, 1, k1(slope)),))
+    # E family: one type 2-2 annulus for every twist count.
+    return Diagram((_U, _U), (Edge(0, 1, H2),))
+
+
+def base_diagram(knot: TableKnot) -> CatalogEntry:
+    """The catalog entry of a table knot.
+
+    4_1 has no recorded diagram: its characteristic diagram is the theta
+    shape but the edge labels are not stated, and inventing them would
+    create false (non-)isomorphisms.
+    """
+    if knot is TableKnot.K4_1:
+        return CatalogEntry(
+            "4_1", None, ShapeClass.THETA, ExteriorDetermines.YES,
+            "theta-shaped characteristic diagram; any handlebody-knot whose "
+            "exterior has this characteristic diagram is equivalent to 4_1, "
+            "and the theta criterion applies; edge labels unrecorded")
+    if knot is TableKnot.K5_1:
+        d = Diagram((_U,), (Edge(0, 0, H1),))
+        return CatalogEntry(
+            "5_1", d, ShapeClass.OTHER, ExteriorDetermines.UNKNOWN,
+            "a single type 2-1 annulus, the unique essential annulus in the "
+            "exterior; no equivalence criterion is known for this diagram")
+    if knot is TableKnot.K5_2:
+        d = Diagram((_U, _U), (Edge(0, 1, k1(Slope(4, 3))),))
+        return CatalogEntry(
+            "5_2", d, ShapeClass.STICK, ExteriorDetermines.NO,
+            "stick diagram with k1(4/3): the exterior is the I-bundle piece "
+            "glued to a solid torus along the cabling annulus of a "
+            "(4,3)-torus knot; the Lee-Lee II twist family realizes "
+            "infinitely many inequivalent knots with this exterior")
+    d = Diagram((_U, _U, _U), (Edge(0, 1, H2), Edge(1, 2, k2(Slope(2, 1)))))
+    return CatalogEntry(
+        "6_1", d, ShapeClass.CIRCLE_STICK, ExteriorDetermines.YES,
+        "circle-stick diagram with h2 and k2(2), the type 3-2ii annulus "
+        "being the frontier of a Mobius band of boundary slope 2; the "
+        "circle-stick criterion shows the exterior determines the knot type")
+
+
+def distinguish(d1: Diagram, d2: Diagram) -> Verdict:
+    """INEQUIVALENT when the diagrams differ; isomorphic diagrams alone never
+    certify equivalence, so the other verdict is INCONCLUSIVE."""
+    if not are_isomorphic(d1, d2):
+        return Verdict.INEQUIVALENT
+    return Verdict.INCONCLUSIVE
+
+
+_DECISIVE_SHAPES = (ShapeClass.CIRCLE_STICK, ShapeClass.THETA)
+
+
+def decide_equivalence(d1: Diagram, d2: Diagram,
+                       exteriors_homeomorphic: bool) -> Verdict:
+    """Decide (in)equivalence of two handlebody-knots from their diagrams.
+
+    Non-isomorphic diagrams give INEQUIVALENT.  Isomorphic circle-stick or
+    theta diagrams together with homeomorphic exteriors give EQUIVALENT.
+    The circle shape stays INCONCLUSIVE even with homeomorphic exteriors:
+    the E family shares one circle diagram and one exterior across
+    infinitely many inequivalent knots.  Everything else is INCONCLUSIVE.
+    """
+    if not are_isomorphic(d1, d2):
+        return Verdict.INEQUIVALENT
+    if exteriors_homeomorphic and shape_of(d1) in _DECISIVE_SHAPES:
+        return Verdict.EQUIVALENT
+    return Verdict.INCONCLUSIVE
+
+
+def e_family_crossing_number(n: int) -> int:
+    """Crossing number of the constituent knot of the n-th E-family member.
+
+    Catalog data, valid for n > 0: the constituent knot has a reduced
+    alternating diagram with n + 2 crossings, so its crossing number is
+    n + 2.  Nothing is recomputed from knot diagrams here.
+    """
+    if n <= 0:
+        raise ParameterOutOfDomain("crossing number is recorded for n > 0 only")
+    return n + 2
+
+
+def leelee2_companion_torus_knot(n: int) -> tuple[int, int]:
+    """Type of the solid-torus core cut off in the n-th Lee-Lee II member:
+    a (2n+1, 2)-torus knot.  At n = 0 this is (1, 2), the unknot, matching
+    the trivial core of the 5_2 picture.  Interpretation of negative
+    parameters is left to the caller."""
+    return (2 * n + 1, 2)

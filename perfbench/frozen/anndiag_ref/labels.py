@@ -1,0 +1,263 @@
+"""The edge alphabet of annulus diagrams.
+
+Six annulus types label the edges: the two Hopf types h1/h2, the two
+parallel-boundary types k1(r)/k2(r) carrying a slope, the non-separating
+type l(r,s) carrying an unordered slope pair, and em.  Labels are pure
+symbols with payloads; the annuli themselves are not modeled.
+
+ASCII grammar (whitespace around tokens tolerated, none required)::
+
+    LABEL ::= "h1" | "h2" | "em"
+            | "k1" "(" SLOPE ")" | "k2" "(" SLOPE ")"
+            | "l" "(" SLOPE "," SLOPE ")" | "l" "(" "?" ")"
+
+``l(?)`` is a type 3-3 label whose slope pair is not recorded; it exists for
+catalog entries only and generators never emit it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+
+from .errors import ParseError
+from .rational import FormClass, Slope, SlopePair, pair_form, scan_slope
+
+__all__ = [
+    "LabelKind",
+    "AnnulusLabel",
+    "H1",
+    "H2",
+    "EM",
+    "k1",
+    "k2",
+    "ell",
+    "SeparationClass",
+    "separation_class",
+    "Strictness",
+    "ViolationCode",
+    "Violation",
+    "ValidationResult",
+    "validate_label",
+    "label_to_text",
+    "parse_label",
+    "scan_label",
+]
+
+
+class LabelKind(Enum):
+    H1 = "h1"
+    H2 = "h2"
+    K1 = "k1"
+    K2 = "k2"
+    L = "l"
+    EM = "em"
+
+
+@dataclass(frozen=True)
+class AnnulusLabel:
+    """One edge label: a kind plus its payload, if the kind carries one.
+
+    Equality is structural on normalized payloads; ``l`` with an absent pair
+    equals only ``l`` with an absent pair.
+    """
+
+    kind: LabelKind
+    slope: Slope | None = None
+    pair: SlopePair | None = None
+
+    def __post_init__(self):
+        if self.kind in (LabelKind.K1, LabelKind.K2):
+            if self.slope is None or self.pair is not None:
+                raise ValueError(f"{self.kind.value} takes exactly a slope payload")
+        elif self.kind is LabelKind.L:
+            if self.slope is not None:
+                raise ValueError("l takes a slope pair, not a slope")
+        elif self.slope is not None or self.pair is not None:
+            raise ValueError(f"{self.kind.value} takes no payload")
+
+    def __str__(self) -> str:
+        return label_to_text(self)
+
+    def __repr__(self) -> str:
+        return f"AnnulusLabel({self})"
+
+
+H1 = AnnulusLabel(LabelKind.H1)
+H2 = AnnulusLabel(LabelKind.H2)
+EM = AnnulusLabel(LabelKind.EM)
+
+
+def k1(slope: Slope) -> AnnulusLabel:
+    return AnnulusLabel(LabelKind.K1, slope=slope)
+
+
+def k2(slope: Slope) -> AnnulusLabel:
+    return AnnulusLabel(LabelKind.K2, slope=slope)
+
+
+def ell(pair: SlopePair | None = None) -> AnnulusLabel:
+    return AnnulusLabel(LabelKind.L, pair=pair)
+
+
+class SeparationClass(Enum):
+    SEPARATING = "separating"
+    NON_SEPARATING = "non-separating"
+    UNKNOWN = "unknown"
+
+
+def separation_class(lab: AnnulusLabel) -> SeparationClass:
+    """Whether the labeled annulus separates the handlebody-knot exterior.
+
+    The unique non-separating characteristic annulus is of type 3-3 (an l
+    edge); em and the k types cut off a solid torus, hence separate.  The
+    Hopf types are left UNKNOWN rather than guessed.
+    """
+    if lab.kind is LabelKind.L:
+        return SeparationClass.NON_SEPARATING
+    if lab.kind in (LabelKind.K1, LabelKind.K2, LabelKind.EM):
+        return SeparationClass.SEPARATING
+    return SeparationClass.UNKNOWN
+
+
+class Strictness(Enum):
+    STRICT = "strict"
+    LENIENT = "lenient"
+
+
+class ViolationCode(Enum):
+    FINITE_SLOPE_REQUIRED = "FiniteSlopeRequired"
+    NON_INTEGRAL_REQUIRED = "NonIntegralRequired"
+    SLOPE_PAIR_FORM_INVALID = "SlopePairFormInvalid"
+    MISSING_SLOPE_PAIR = "MissingSlopePair"
+    EM_WITH_NON_SEPARATING = "EmWithNonSeparating"
+    STICK_MUST_BE_K1 = "StickMustBeK1"
+
+
+@dataclass(frozen=True)
+class Violation:
+    code: ViolationCode
+    where: str
+    detail: str
+
+    def __str__(self) -> str:
+        return f"{self.where}: {self.code.value}: {self.detail}"
+
+
+@dataclass(frozen=True)
+class ValidationResult:
+    """Violations reject a value; warnings are advisory and do not."""
+
+    violations: tuple[Violation, ...] = ()
+    warnings: tuple[Violation, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def validate_label(lab: AnnulusLabel,
+                   strictness: Strictness = Strictness.LENIENT,
+                   where: str = "label") -> ValidationResult:
+    """Check a label's payload against the per-type slope constraints.
+
+    k1 slopes must be finite and non-integral in both modes.  k2 slopes must
+    be finite in both modes; STRICT additionally demands non-integrality,
+    which LENIENT waives so that computed diagrams with an integral type
+    3-2ii slope remain valid.  l pairs must match one of the two legal
+    forms; an absent pair passes with a warning.  h1, h2, em always pass.
+    """
+    violations: list[Violation] = []
+    warnings: list[Violation] = []
+    if lab.kind in (LabelKind.K1, LabelKind.K2):
+        s = lab.slope
+        if s.is_infinite:
+            violations.append(Violation(
+                ViolationCode.FINITE_SLOPE_REQUIRED, where,
+                f"{lab.kind.value} slope must be finite, got inf"))
+        elif s.is_integral and (lab.kind is LabelKind.K1
+                                or strictness is Strictness.STRICT):
+            violations.append(Violation(
+                ViolationCode.NON_INTEGRAL_REQUIRED, where,
+                f"{lab.kind.value} slope must be non-integral, got {s}"))
+    elif lab.kind is LabelKind.L:
+        if lab.pair is None:
+            warnings.append(Violation(
+                ViolationCode.MISSING_SLOPE_PAIR, where,
+                "l label without a recorded slope pair"))
+        elif lab.pair.first.is_infinite or lab.pair.second.is_infinite:
+            violations.append(Violation(
+                ViolationCode.FINITE_SLOPE_REQUIRED, where,
+                f"l slope pair must be finite, got {lab.pair}"))
+        elif pair_form(lab.pair) is FormClass.INVALID:
+            violations.append(Violation(
+                ViolationCode.SLOPE_PAIR_FORM_INVALID, where,
+                f"{lab.pair} matches neither (p/q,q/p) nor (p/q,pq)"))
+    return ValidationResult(tuple(violations), tuple(warnings))
+
+
+def label_to_text(lab: AnnulusLabel) -> str:
+    """Render a label in the ASCII grammar with normalized payloads."""
+    if lab.kind in (LabelKind.K1, LabelKind.K2):
+        return f"{lab.kind.value}({lab.slope})"
+    if lab.kind is LabelKind.L:
+        if lab.pair is None:
+            return "l(?)"
+        return f"l({lab.pair.first},{lab.pair.second})"
+    return lab.kind.value
+
+
+_TAGS = ("h1", "h2", "em", "k1", "k2", "l")
+
+
+def _skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos] in " \t":
+        pos += 1
+    return pos
+
+
+def _expect(text: str, pos: int, ch: str) -> int:
+    pos = _skip_ws(text, pos)
+    if pos >= len(text) or text[pos] != ch:
+        raise ParseError(f"expected '{ch}'", col=pos + 1, expected=(ch,))
+    return pos + 1
+
+
+def scan_label(text: str, pos: int = 0) -> tuple[AnnulusLabel, int]:
+    """Scan one label starting at ``pos``; return (label, next position).
+
+    Columns in raised :class:`ParseError` are 1-based relative to ``text``.
+    """
+    pos = _skip_ws(text, pos)
+    start = pos
+    while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+        pos += 1
+    tag = text[start:pos]
+    if tag not in _TAGS:
+        raise ParseError(f"unknown label type {tag!r}" if tag else "expected a label",
+                         col=start + 1, expected=_TAGS)
+    if tag in ("h1", "h2", "em"):
+        return AnnulusLabel(LabelKind(tag)), pos
+    pos = _expect(text, pos, "(")
+    if tag == "l":
+        probe = _skip_ws(text, pos)
+        if probe < len(text) and text[probe] == "?":
+            pos = _expect(text, probe + 1, ")")
+            return ell(), pos
+        a, pos = scan_slope(text, probe)
+        pos = _expect(text, pos, ",")
+        b, pos = scan_slope(text, _skip_ws(text, pos))
+        pos = _expect(text, pos, ")")
+        return ell(SlopePair(a, b)), pos
+    s, pos = scan_slope(text, _skip_ws(text, pos))
+    pos = _expect(text, pos, ")")
+    return AnnulusLabel(LabelKind(tag), slope=s), pos
+
+
+def parse_label(text: str) -> AnnulusLabel:
+    """Parse a complete label string per the module grammar."""
+    lab, pos = scan_label(text, 0)
+    pos = _skip_ws(text, pos)
+    if pos != len(text):
+        raise ParseError("trailing characters after label", col=pos + 1)
+    return lab

@@ -1,0 +1,230 @@
+"""Exact arithmetic for slopes in Q ∪ {∞} and unordered slope pairs.
+
+A slope records the isotopy class of a curve on the boundary of a solid
+torus as an extended rational p/q.  Values are normalized on construction:
+gcd(|p|, |q|) = 1, q >= 0 with the sign carried by p, and infinity stored
+uniquely as 1/0.  Python integers are arbitrary precision, so family tables
+over large twist parameters cannot overflow.
+
+Textual syntax used throughout the package: ``p/q`` with an optional leading
+``-``, ``inf`` for infinity, and a bare integer ``n`` meaning ``n/1``.
+Unordered pairs print as ``(a,b)``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+from math import gcd
+
+from .errors import InfiniteSlope, NotUnimodular, ParseError, ZeroOverZero
+
+__all__ = [
+    "Slope",
+    "SlopePair",
+    "FormClass",
+    "apply_unimodular",
+    "pair_form",
+    "parse_slope",
+    "parse_slope_pair",
+    "scan_slope",
+]
+
+
+@dataclass(frozen=True)
+class Slope:
+    """A normalized extended rational p/q.
+
+    ``Slope(p, q)`` reduces its arguments, so ``Slope(4, 6) == Slope(2, 3)``
+    and ``Slope(k*p, k*q) == Slope(p, q)`` for any nonzero k.  ``Slope(p, 0)``
+    is infinity, stored as 1/0.  ``Slope(0, 0)`` raises :class:`ZeroOverZero`.
+    """
+
+    p: int
+    q: int
+
+    def __post_init__(self):
+        p, q = self.p, self.q
+        if p == 0 and q == 0:
+            raise ZeroOverZero("slope 0/0 is unrepresentable")
+        if q == 0:
+            p, q = 1, 0
+        else:
+            if q < 0:
+                p, q = -p, -q
+            g = gcd(abs(p), q)
+            p, q = p // g, q // g
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    @property
+    def is_integral(self) -> bool:
+        """True iff the slope is an integer.  Infinity is not integral."""
+        return self.q == 1
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.q == 0
+
+    def reciprocal(self) -> "Slope":
+        return Slope(self.q, self.p)
+
+    def __str__(self) -> str:
+        if self.q == 0:
+            return "inf"
+        if self.q == 1:
+            return str(self.p)
+        return f"{self.p}/{self.q}"
+
+    def __repr__(self) -> str:
+        return f"Slope({self.p}, {self.q})"
+
+
+INFINITY = Slope(1, 0)
+
+
+def _pair_key(s: Slope) -> tuple[int, int]:
+    # Descending (q, p) puts larger denominators first and infinity (q = 0)
+    # last, matching the printed forms l(1/3,3), l(1/2,2), ...
+    return (-s.q, -s.p)
+
+
+@dataclass(frozen=True)
+class SlopePair:
+    """An unordered pair of slopes, stored in a canonical order.
+
+    Construction from (a, b) and from (b, a) yields identical fields: the
+    member with the larger denominator is stored first (ties broken by
+    numerator, descending), and infinity always sorts last.
+    """
+
+    first: Slope
+    second: Slope
+
+    def __post_init__(self):
+        a, b = self.first, self.second
+        if _pair_key(a) > _pair_key(b):
+            a, b = b, a
+        object.__setattr__(self, "first", a)
+        object.__setattr__(self, "second", b)
+
+    def __str__(self) -> str:
+        return f"({self.first},{self.second})"
+
+    def __repr__(self) -> str:
+        return f"SlopePair({self.first!r}, {self.second!r})"
+
+
+class FormClass(Enum):
+    """Which of the two legal type 3-3 slope-pair forms a pair matches.
+
+    A pair is RECIPROCAL when it can be written (p/q, q/p) with pq != 0,
+    PRODUCT when it can be written (p/q, pq) with q != 0, BOTH when both
+    readings apply, and INVALID otherwise.
+    """
+
+    RECIPROCAL = "reciprocal"
+    PRODUCT = "product"
+    BOTH = "both"
+    INVALID = "invalid"
+
+
+def apply_unimodular(s: Slope, a: int, b: int, c: int, d: int) -> Slope:
+    """Transform p/q to (a*p + b*q)/(c*p + d*q) for a unimodular matrix.
+
+    Requires ad - bc = ±1; composition of transforms equals the transform by
+    the matrix product.  Unimodularity keeps the image away from 0/0.
+    """
+    if abs(a * d - b * c) != 1:
+        raise NotUnimodular(f"matrix ({a},{b},{c},{d}) has determinant {a*d-b*c}")
+    return Slope(a * s.p + b * s.q, c * s.p + d * s.q)
+
+
+def _is_reciprocal(x: Slope, y: Slope) -> bool:
+    # (p/q, q/p) with pq != 0; symmetric in x and y.
+    return x.p != 0 and y == x.reciprocal()
+
+
+def _is_product(x: Slope, y: Slope) -> bool:
+    # (p/q, pq) with q != 0; q != 0 holds for every finite slope.
+    return y == Slope(x.p * x.q, 1)
+
+
+def pair_form(pr: SlopePair) -> FormClass:
+    """Classify a slope pair against the two legal forms.
+
+    Both members must be finite.  The pair is unordered, so each predicate is
+    checked with either member playing the p/q role.
+    """
+    a, b = pr.first, pr.second
+    if a.is_infinite or b.is_infinite:
+        raise InfiniteSlope(f"pair {pr} has an infinite member")
+    reciprocal = _is_reciprocal(a, b)
+    product = _is_product(a, b) or _is_product(b, a)
+    if reciprocal and product:
+        return FormClass.BOTH
+    if reciprocal:
+        return FormClass.RECIPROCAL
+    if product:
+        return FormClass.PRODUCT
+    return FormClass.INVALID
+
+
+# Text syntax
+#
+# SLOPE ::= "inf" | "-"? DIGITS ("/" DIGITS)?
+
+def scan_slope(text: str, pos: int = 0) -> tuple[Slope, int]:
+    """Scan one slope token starting at ``pos``; return (slope, next position).
+
+    Raises :class:`ParseError` with a 1-based column relative to ``text``.
+    """
+    start = pos
+    if text.startswith("inf", pos):
+        return INFINITY, pos + 3
+    if pos < len(text) and text[pos] == "-":
+        pos += 1
+    digits = pos
+    while pos < len(text) and text[pos].isdigit():
+        pos += 1
+    if pos == digits:
+        raise ParseError("expected a slope", col=start + 1,
+                         expected=("integer", "p/q", "inf"))
+    p = int(text[start:pos])
+    q = 1
+    if pos < len(text) and text[pos] == "/":
+        pos += 1
+        digits = pos
+        while pos < len(text) and text[pos].isdigit():
+            pos += 1
+        if pos == digits:
+            raise ParseError("expected a denominator", col=pos + 1,
+                             expected=("digits",))
+        q = int(text[digits:pos])
+    try:
+        return Slope(p, q), pos
+    except ZeroOverZero:
+        raise ParseError("slope 0/0 is unrepresentable", col=start + 1) from None
+
+
+def parse_slope(text: str) -> Slope:
+    """Parse a complete slope string, e.g. ``4/3``, ``-2``, ``inf``."""
+    t = text.strip()
+    s, pos = scan_slope(t)
+    if pos != len(t):
+        raise ParseError("trailing characters after slope", col=pos + 1)
+    return s
+
+
+def parse_slope_pair(text: str) -> SlopePair:
+    """Parse ``(a,b)`` into an unordered pair."""
+    t = text.strip()
+    if not t.startswith("("):
+        raise ParseError("expected '('", col=1, expected=("(",))
+    if not t.endswith(")"):
+        raise ParseError("expected ')'", col=len(t) + 1, expected=(")",))
+    body = t[1:-1]
+    a_text, sep, b_text = body.partition(",")
+    if not sep:
+        raise ParseError("expected ','", col=len(t), expected=(",",))
+    return SlopePair(parse_slope(a_text), parse_slope(b_text))
