@@ -9,8 +9,10 @@ Format v1, one construct per line, ASCII with ``\\n`` newlines::
     note: optional free-form remark
 
 Node kinds: ``s`` solid (fibered), ``h`` hollow (simple), ``u`` unknown.
-Edge endpoints are 0-based decimal node indices; labels follow the label
-grammar.  ``name:`` and ``note:`` may each appear at most once, after the
+Edge endpoints are 0-based node indices in ASCII digits 0-9; labels follow
+the label grammar.  A key is followed by a space before its first token;
+further tokens on ``nodes:`` and ``edge:`` lines are separated by spaces or
+tabs.  ``name:`` and ``note:`` may each appear at most once, after the
 edges.  The parser tolerates trailing whitespace and blank lines, nothing
 else, and reports errors with 1-based line and column.  Files store the
 diagram exactly as given; canonicalization is never applied on I/O.
@@ -22,16 +24,19 @@ import re
 from dataclasses import dataclass
 
 from .diagram import MAX_NODES, Diagram, Edge, NodeKind
-from .errors import DanglingEndpoint, ParseError, TooManyNodes, UnsupportedVersion
+from .errors import (DanglingEndpoint, DiagramError, ParseError, TooManyNodes,
+                     UnsupportedVersion)
 from .labels import label_to_text, scan_label
+from .rational import scan_digits, skip_ws
 
 __all__ = ["FORMAT_VERSION", "DiagramDocument", "serialize", "parse"]
 
 FORMAT_VERSION = "v1"
 
 _HEADER = f"annulusdiagram {FORMAT_VERSION}"
-_HEADER_RE = re.compile(r"annulusdiagram v(\d+)")
+_HEADER_RE = re.compile("annulusdiagram v([0-9]+)")
 _NODE_KINDS = {k.value: k for k in NodeKind}
+_BLANK_SEPARATED = re.compile("[^ \t]+")  # tokens between spaces and tabs
 
 
 @dataclass(frozen=True)
@@ -70,62 +75,35 @@ def serialize(doc: DiagramDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scan_index(line: str, pos: int, lineno: int) -> tuple[int, int]:
-    while pos < len(line) and line[pos] == " ":
-        pos += 1
-    start = pos
-    while pos < len(line) and line[pos].isdigit():
-        pos += 1
-    if pos == start:
-        raise ParseError("expected a node index", line=lineno, col=start + 1,
-                         expected=("decimal node index",))
-    return int(line[start:pos]), pos
-
-
-def _parse_nodes(line: str, lineno: int) -> list[NodeKind]:
+def _parse_nodes(line: str) -> list[NodeKind]:
     kinds: list[NodeKind] = []
-    pos = len("nodes:")
-    while True:
-        while pos < len(line) and line[pos] == " ":
-            pos += 1
-        if pos == len(line):
-            return kinds
-        start = pos
-        while pos < len(line) and line[pos] != " ":
-            pos += 1
-        token = line[start:pos]
-        if token not in _NODE_KINDS:
-            raise ParseError(f"unknown node kind {token!r}", line=lineno,
-                             col=start + 1, expected=("s", "h", "u"))
-        kinds.append(_NODE_KINDS[token])
+    for token in _BLANK_SEPARATED.finditer(line, len("nodes:")):
+        if token[0] not in _NODE_KINDS:
+            raise ParseError(f"unknown node kind {token[0]!r}",
+                             col=token.start() + 1, expected=("s", "h", "u"))
+        kinds.append(_NODE_KINDS[token[0]])
+    if len(kinds) > MAX_NODES:
+        raise TooManyNodes(
+            f"{len(kinds)} nodes exceeds the bound of {MAX_NODES}")
+    return kinds
 
 
-def _parse_edge(line: str, lineno: int, node_count: int) -> Edge:
-    a, pos = _scan_index(line, len("edge:"), lineno)
-    b, pos = _scan_index(line, pos, lineno)
-    try:
-        label, pos = scan_label(line, pos)
-    except ParseError as pe:
-        raise ParseError(pe.message, line=lineno, col=pe.col,
-                         expected=pe.expected) from None
-    while pos < len(line) and line[pos] == " ":
-        pos += 1
+def _parse_edge(line: str, node_count: int) -> Edge:
+    a, pos = scan_digits(line, skip_ws(line, len("edge:")))
+    b = None
+    if a is not None:
+        b, pos = scan_digits(line, skip_ws(line, pos))
+    if b is None:
+        raise ParseError("expected a node index", col=pos + 1,
+                         expected=("decimal node index",))
+    label, pos = scan_label(line, pos)
+    pos = skip_ws(line, pos)
     if pos != len(line):
-        raise ParseError("trailing characters after label", line=lineno,
-                         col=pos + 1)
+        raise ParseError("trailing characters after label", col=pos + 1)
     if not (a < node_count and b < node_count):
         raise DanglingEndpoint(
-            f"edge ({a}, {b}) references a node outside 0..{node_count - 1}",
-            line=lineno)
+            f"edge ({a}, {b}) references a node outside 0..{node_count - 1}")
     return Edge(a, b, label)
-
-
-def _parse_meta(line: str, lineno: int, key: str) -> str:
-    value = line[len(key) + 2:]
-    if not value or value != value.strip():
-        raise ParseError(f"malformed {key} value", line=lineno,
-                         col=len(key) + 3)
-    return value
 
 
 def parse(text: str) -> DiagramDocument:
@@ -134,55 +112,52 @@ def parse(text: str) -> DiagramDocument:
     stage = "header"
     nodes: list[NodeKind] = []
     edges: list[Edge] = []
-    name: str | None = None
-    note: str | None = None
+    meta: dict[str, str] = {}
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip()
         if not line:
             continue
-        if stage == "header":
-            if line == _HEADER:
+        key = line.partition(" ")[0]
+        try:
+            if stage == "header":
+                if line != _HEADER:
+                    m = _HEADER_RE.fullmatch(line)
+                    if m:
+                        raise UnsupportedVersion(
+                            f"format version v{m.group(1)} is not supported",
+                            col=len("annulusdiagram ") + 1)
+                    raise ParseError("expected the format header",
+                                     expected=(_HEADER,))
                 stage = "nodes"
-                continue
-            m = _HEADER_RE.fullmatch(line)
-            if m:
-                raise UnsupportedVersion(
-                    f"format version v{m.group(1)} is not supported",
-                    line=lineno, col=len("annulusdiagram ") + 1)
-            raise ParseError("expected the format header", line=lineno, col=1,
-                             expected=(_HEADER,))
-        if stage == "nodes":
-            if line == "nodes:" or line.startswith("nodes: "):
-                nodes = _parse_nodes(line, lineno)
-                if len(nodes) > MAX_NODES:
-                    raise TooManyNodes(
-                        f"{len(nodes)} nodes exceeds the bound of {MAX_NODES}",
-                        line=lineno)
+            elif stage == "nodes":
+                if key != "nodes:":
+                    raise ParseError("expected the node list",
+                                     expected=("nodes:",))
+                nodes = _parse_nodes(line)
                 stage = "body"
-                continue
-            raise ParseError("expected the node list", line=lineno, col=1,
-                             expected=("nodes:",))
-        if line == "edge:" or line.startswith("edge: "):
-            if name is not None or note is not None:
-                raise ParseError("edge lines must precede name/note lines",
-                                 line=lineno, col=1)
-            edges.append(_parse_edge(line, lineno, len(nodes)))
-        elif line == "name:" or line.startswith("name: "):
-            if name is not None:
-                raise ParseError("duplicate name line", line=lineno, col=1)
-            name = _parse_meta(line, lineno, "name")
-        elif line == "note:" or line.startswith("note: "):
-            if note is not None:
-                raise ParseError("duplicate note line", line=lineno, col=1)
-            note = _parse_meta(line, lineno, "note")
-        else:
-            raise ParseError("unrecognized line", line=lineno, col=1,
-                             expected=("edge:", "name:", "note:"))
+            elif key == "edge:":
+                if meta:
+                    raise ParseError("edge lines must precede name/note lines")
+                edges.append(_parse_edge(line, len(nodes)))
+            elif key in ("name:", "note:"):
+                field, value = key[:-1], line[len(key) + 1:]
+                if field in meta:
+                    raise ParseError(f"duplicate {field} line")
+                if not value or value != value.strip():
+                    raise ParseError(f"malformed {field} value",
+                                     col=len(key) + 2)
+                meta[field] = value
+            else:
+                raise ParseError("unrecognized line",
+                                 expected=("edge:", "name:", "note:"))
+        except (ParseError, DiagramError) as err:
+            err.line = lineno
+            raise
 
     if stage != "body":
         raise ParseError(
             "unexpected end of input: expected the "
             + ("format header" if stage == "header" else "node list"),
-            line=len(lines), col=1)
-    return DiagramDocument(Diagram(nodes, edges), name=name, note=note)
+            line=len(lines))
+    return DiagramDocument(Diagram(nodes, edges), **meta)

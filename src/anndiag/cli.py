@@ -11,17 +11,18 @@ family reference ``family:n`` (families ``motto``, ``ll1``, ``ll1v``,
 from __future__ import annotations
 
 import argparse
-import re
+import os
 import sys
 
 from .catalog_io import DiagramDocument, parse, serialize
-from .diagram import Diagram, canonical_form, shape_of, validate_diagram
+from .diagram import canonical_form, shape_of, validate_diagram
 from .errors import DiagramError, ParameterOutOfDomain, ParseError
 from .families import (Family, TableKnot, base_diagram, decide_equivalence,
                        distinguish, family_diagram)
 from .labels import Strictness, label_to_text
+from .rational import scan_digits
 
-_FAMILY_REF = re.compile(r"(motto|ll1v|ll1|ll2|e):(-?\d+)")
+_FAMILY_NAMES = {f.value for f in Family}
 _KNOT_NAMES = {k.value: k for k in TableKnot}
 
 
@@ -46,27 +47,36 @@ def _read_document(path: str) -> DiagramDocument:
         raise _CliError(3, f"{path}: {err}") from None
 
 
-def _resolve_diagram(target: str) -> Diagram:
+def _resolve(target: str) -> DiagramDocument:
+    """The document a table knot, ``family:n`` or file target names."""
     if target in _KNOT_NAMES:
         entry = base_diagram(_KNOT_NAMES[target])
         if entry.diagram is None:
             raise _CliError(2, f"{target} has no recorded diagram")
-        return entry.diagram
-    m = _FAMILY_REF.fullmatch(target)
-    if m:
-        try:
-            return family_diagram(Family(m.group(1)), int(m.group(2)))
-        except ParameterOutOfDomain as err:
-            raise _CliError(2, str(err)) from None
-    return _read_document(target).diagram
+        return DiagramDocument(
+            entry.diagram, name=entry.name,
+            note=(f"shape={entry.shape.value}; exterior determines knot "
+                  f"type: {entry.exterior_determines.value}"))
+    family, _, number = target.partition(":")
+    if family not in _FAMILY_NAMES:
+        return _read_document(target)
+    neg = number.startswith("-")
+    try:
+        n, end = scan_digits(number, 1 if neg else 0)
+    except ParseError as err:
+        raise _CliError(2, f"{family} parameter: {err.message}") from None
+    if n is None or end != len(number):
+        return _read_document(target)
+    try:
+        d = family_diagram(Family(family), -n if neg else n)
+    except ParameterOutOfDomain as err:
+        raise _CliError(2, str(err)) from None
+    return DiagramDocument(d, name=target, note=f"shape={shape_of(d).value}")
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    target = args.target
-    if target in _KNOT_NAMES:
-        entry = base_diagram(_KNOT_NAMES[target])
-        facts = (f"shape={entry.shape.value}; exterior determines knot "
-                 f"type: {entry.exterior_determines.value}")
+    if args.target in _KNOT_NAMES:
+        entry = base_diagram(_KNOT_NAMES[args.target])
         if entry.diagram is None:
             print(f"{entry.name}: no diagram recorded")
             print(f"shape: {entry.shape.value}")
@@ -74,14 +84,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
                   f"{entry.exterior_determines.value}")
             print(f"note: {entry.notes}")
             return 0
-        doc = DiagramDocument(entry.diagram, name=entry.name, note=facts)
-    elif _FAMILY_REF.fullmatch(target):
-        d = _resolve_diagram(target)
-        doc = DiagramDocument(d, name=target,
-                              note=f"shape={shape_of(d).value}")
-    else:
-        doc = _read_document(target)
-    print(serialize(doc), end="")
+    print(serialize(_resolve(args.target)), end="")
     return 0
 
 
@@ -100,8 +103,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    d1 = _resolve_diagram(args.a)
-    d2 = _resolve_diagram(args.b)
+    d1 = _resolve(args.a).diagram
+    d2 = _resolve(args.b).diagram
     if args.homeo:
         verdict = decide_equivalence(d1, d2, exteriors_homeomorphic=True)
     else:
@@ -125,7 +128,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
-    print(canonical_form(_resolve_diagram(args.target)).hex())
+    print(canonical_form(_resolve(args.target).diagram).hex())
     return 0
 
 
@@ -174,7 +177,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (``| head``); keep the final flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -121,12 +121,9 @@ def canonical_form(d: Diagram) -> bytes:
     in the encoding, and UNKNOWN matches only UNKNOWN.  Deterministic across
     runs and platforms; cost grows factorially with the node count.
     """
-    n = len(d.nodes)
-    if n > MAX_NODES:
-        raise TooManyNodes(f"{n} nodes exceeds the bound of {MAX_NODES}")
     labels = [label_to_text(e.label) for e in d.edges]
     best = None
-    for perm in permutations(range(n)):
+    for perm in permutations(range(len(d.nodes))):
         kinds = tuple(d.nodes[i] for i in _inverse(perm))
         triples = []
         for e, text in zip(d.edges, labels):

@@ -30,29 +30,22 @@ class ParameterOutOfDomain(ValueError):
 
 
 class DiagramError(ValueError):
-    """Base class for structural diagram errors."""
+    """Base class for structural diagram errors.
+
+    Carries an optional 1-based ``line`` when surfaced by the file parser.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message)
+        self.line = line
 
 
 class DanglingEndpoint(DiagramError):
-    """Raised when an edge references a node index that does not exist.
-
-    Carries an optional 1-based ``line`` when surfaced by the file parser.
-    """
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
+    """Raised when an edge references a node index that does not exist."""
 
 
 class TooManyNodes(DiagramError):
-    """Raised when a diagram exceeds the canonicalization bound of 16 nodes.
-
-    Carries an optional 1-based ``line`` when surfaced by the file parser.
-    """
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
+    """Raised when a diagram exceeds the canonicalization bound of 16 nodes."""
 
 
 class ParseError(ValueError):
@@ -61,14 +54,17 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, line: int = 1, col: int = 1,
                  expected: tuple[str, ...] = ()):
+        super().__init__(message)
         self.message = message
         self.line = line
         self.col = col
         self.expected = expected
-        detail = f"line {line}, column {col}: {message}"
-        if expected:
-            detail += " (expected " + " | ".join(expected) + ")"
-        super().__init__(detail)
+
+    def __str__(self) -> str:
+        detail = f"line {self.line}, column {self.col}: {self.message}"
+        if self.expected:
+            detail += " (expected " + " | ".join(self.expected) + ")"
+        return detail
 
 
 class UnsupportedVersion(ParseError):

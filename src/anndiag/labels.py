@@ -5,7 +5,9 @@ parallel-boundary types k1(r)/k2(r) carrying a slope, the non-separating
 type l(r,s) carrying an unordered slope pair, and em.  Labels are pure
 symbols with payloads; the annuli themselves are not modeled.
 
-ASCII grammar (whitespace around tokens tolerated, none required)::
+ASCII grammar (spaces and tabs around tokens tolerated, none required;
+SLOPE is the slope syntax of :mod:`anndiag.rational`, with ASCII digits
+0-9 only)::
 
     LABEL ::= "h1" | "h2" | "em"
             | "k1" "(" SLOPE ")" | "k2" "(" SLOPE ")"
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParseError
-from .rational import FormClass, Slope, SlopePair, pair_form, scan_slope
+from .rational import (FormClass, Slope, SlopePair, expect_char, pair_form,
+                       parse_whole, scan_slope, scan_slope_pair, skip_ws)
 
 __all__ = [
     "LabelKind",
@@ -210,25 +213,10 @@ def label_to_text(lab: AnnulusLabel) -> str:
 _TAGS = ("h1", "h2", "em", "k1", "k2", "l")
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos] in " \t":
-        pos += 1
-    return pos
-
-
-def _expect(text: str, pos: int, ch: str) -> int:
-    pos = _skip_ws(text, pos)
-    if pos >= len(text) or text[pos] != ch:
-        raise ParseError(f"expected '{ch}'", col=pos + 1, expected=(ch,))
-    return pos + 1
-
-
 def scan_label(text: str, pos: int = 0) -> tuple[AnnulusLabel, int]:
-    """Scan one label starting at ``pos``; return (label, next position).
-
-    Columns in raised :class:`ParseError` are 1-based relative to ``text``.
-    """
-    pos = _skip_ws(text, pos)
+    """Scan one label at ``pos``; return (label, next position).  Columns in
+    a raised :class:`ParseError` are 1-based and relative to ``text``."""
+    pos = skip_ws(text, pos)
     start = pos
     while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
         pos += 1
@@ -238,26 +226,17 @@ def scan_label(text: str, pos: int = 0) -> tuple[AnnulusLabel, int]:
                          col=start + 1, expected=_TAGS)
     if tag in ("h1", "h2", "em"):
         return AnnulusLabel(LabelKind(tag)), pos
-    pos = _expect(text, pos, "(")
+    paren = pos
+    pos = skip_ws(text, expect_char(text, pos, "("))
     if tag == "l":
-        probe = _skip_ws(text, pos)
-        if probe < len(text) and text[probe] == "?":
-            pos = _expect(text, probe + 1, ")")
-            return ell(), pos
-        a, pos = scan_slope(text, probe)
-        pos = _expect(text, pos, ",")
-        b, pos = scan_slope(text, _skip_ws(text, pos))
-        pos = _expect(text, pos, ")")
-        return ell(SlopePair(a, b)), pos
-    s, pos = scan_slope(text, _skip_ws(text, pos))
-    pos = _expect(text, pos, ")")
-    return AnnulusLabel(LabelKind(tag), slope=s), pos
+        if text.startswith("?", pos):
+            return ell(), expect_char(text, pos + 1, ")")
+        pair, pos = scan_slope_pair(text, paren)
+        return ell(pair), pos
+    s, pos = scan_slope(text, pos)
+    return AnnulusLabel(LabelKind(tag), slope=s), expect_char(text, pos, ")")
 
 
 def parse_label(text: str) -> AnnulusLabel:
     """Parse a complete label string per the module grammar."""
-    lab, pos = scan_label(text, 0)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise ParseError("trailing characters after label", col=pos + 1)
-    return lab
+    return parse_whole(scan_label, text, "label")

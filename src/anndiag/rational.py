@@ -13,6 +13,7 @@ Unordered pairs print as ``(a,b)``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
@@ -28,6 +29,7 @@ __all__ = [
     "parse_slope",
     "parse_slope_pair",
     "scan_slope",
+    "scan_slope_pair",
 ]
 
 
@@ -170,61 +172,91 @@ def pair_form(pr: SlopePair) -> FormClass:
     return FormClass.INVALID
 
 
-# Text syntax
+# Text syntax, and the scanning primitives every parser in the package uses.
+# Positions are 0-based; ParseError columns are 1-based.  DIGITS are ASCII
+# 0-9 only, and whitespace is a space or a tab.
 #
 # SLOPE ::= "inf" | "-"? DIGITS ("/" DIGITS)?
+# PAIR  ::= "(" SLOPE "," SLOPE ")"
+
+_match_digits = re.compile("[0-9]*").match
+
+
+def skip_ws(text: str, pos: int) -> int:
+    """Skip spaces and tabs from ``pos``; return the next position."""
+    while pos < len(text) and text[pos] in " \t":
+        pos += 1
+    return pos
+
+
+def expect_char(text: str, pos: int, ch: str) -> int:
+    """Skip whitespace, then require ``ch``; return the position after it."""
+    pos = skip_ws(text, pos)
+    if not text.startswith(ch, pos):
+        raise ParseError(f"expected '{ch}'", col=pos + 1, expected=(ch,))
+    return pos + 1
+
+
+def scan_digits(text: str, pos: int) -> tuple[int | None, int]:
+    """Read ASCII digits at ``pos``; return (value, or None if there are
+    none, and the next position).  This is the package's one ``int()`` of
+    scanned text: a run past the int-string limit is a ParseError."""
+    end = _match_digits(text, pos).end()
+    if end == pos:
+        return None, pos
+    try:
+        return int(text[pos:end]), end
+    except ValueError:
+        raise ParseError(f"number too long ({end - pos} digits)",
+                         col=pos + 1) from None
+
+
+def parse_whole(scan, text: str, what: str):
+    """The value ``scan`` reads from all of ``text``, blanks around it
+    allowed."""
+    value, pos = scan(text, skip_ws(text, 0))
+    pos = skip_ws(text, pos)
+    if pos != len(text):
+        raise ParseError(f"trailing characters after {what}", col=pos + 1)
+    return value
+
 
 def scan_slope(text: str, pos: int = 0) -> tuple[Slope, int]:
-    """Scan one slope token starting at ``pos``; return (slope, next position).
-
-    Raises :class:`ParseError` with a 1-based column relative to ``text``.
-    """
-    start = pos
+    """Scan one slope token at ``pos``; return (slope, next position)."""
     if text.startswith("inf", pos):
         return INFINITY, pos + 3
-    if pos < len(text) and text[pos] == "-":
-        pos += 1
-    digits = pos
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos == digits:
-        raise ParseError("expected a slope", col=start + 1,
+    neg = text.startswith("-", pos)
+    p, end = scan_digits(text, pos + 1 if neg else pos)
+    if p is None:
+        raise ParseError("expected a slope", col=pos + 1,
                          expected=("integer", "p/q", "inf"))
-    p = int(text[start:pos])
     q = 1
-    if pos < len(text) and text[pos] == "/":
-        pos += 1
-        digits = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if pos == digits:
-            raise ParseError("expected a denominator", col=pos + 1,
+    if text.startswith("/", end):
+        q, den = scan_digits(text, end + 1)
+        if q is None:
+            raise ParseError("expected a denominator", col=end + 2,
                              expected=("digits",))
-        q = int(text[digits:pos])
+        end = den
     try:
-        return Slope(p, q), pos
+        return Slope(-p if neg else p, q), end
     except ZeroOverZero:
-        raise ParseError("slope 0/0 is unrepresentable", col=start + 1) from None
+        raise ParseError("slope 0/0 is unrepresentable", col=pos + 1) from None
+
+
+def scan_slope_pair(text: str, pos: int = 0) -> tuple[SlopePair, int]:
+    """Scan ``(a,b)`` starting at ``pos``; return (pair, next position)."""
+    pos = expect_char(text, pos, "(")
+    a, pos = scan_slope(text, skip_ws(text, pos))
+    pos = expect_char(text, pos, ",")
+    b, pos = scan_slope(text, skip_ws(text, pos))
+    return SlopePair(a, b), expect_char(text, pos, ")")
 
 
 def parse_slope(text: str) -> Slope:
     """Parse a complete slope string, e.g. ``4/3``, ``-2``, ``inf``."""
-    t = text.strip()
-    s, pos = scan_slope(t)
-    if pos != len(t):
-        raise ParseError("trailing characters after slope", col=pos + 1)
-    return s
+    return parse_whole(scan_slope, text, "slope")
 
 
 def parse_slope_pair(text: str) -> SlopePair:
     """Parse ``(a,b)`` into an unordered pair."""
-    t = text.strip()
-    if not t.startswith("("):
-        raise ParseError("expected '('", col=1, expected=("(",))
-    if not t.endswith(")"):
-        raise ParseError("expected ')'", col=len(t) + 1, expected=(")",))
-    body = t[1:-1]
-    a_text, sep, b_text = body.partition(",")
-    if not sep:
-        raise ParseError("expected ','", col=len(t), expected=(",",))
-    return SlopePair(parse_slope(a_text), parse_slope(b_text))
+    return parse_whole(scan_slope_pair, text, "slope pair")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations_with_replacement, product
 
 import hypothesis.strategies as st
@@ -103,7 +104,20 @@ def random_document_diagram(rng: random.Random, max_nodes=6, max_edges=6) -> Dia
     return Diagram(kind_vector, edges)
 
 
+# A digit run just past the interpreter's int-string limit: 4302 digits under
+# CPython's default limit of 4300.  None where int() has no such limit.
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "1" + "0" * _INT_LIMIT + "1" if _INT_LIMIT else None
+
+
 # hypothesis strategies
+
+# Text near the grammars: their tokens, both blanks, other whitespace, and
+# digits that str.isdigit accepts but are not ASCII.
+grammar_text = st.lists(st.sampled_from(
+    list("0123456789-/(),?:_ \t\n\r\x0b\xa0²٣") +
+    ["inf", "h1", "h2", "em", "k1", "k2", "l", "s", "h", "u", "nodes:",
+     "edge:", "name:", "note:", "annulusdiagram v1\n"])).map("".join)
 
 finite_slopes = st.builds(Slope, st.integers(-40, 40), st.integers(1, 40))
 slopes = st.one_of(finite_slopes, st.just(Slope(1, 0)))

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anndiag import (H2, DanglingEndpoint, Diagram, DiagramDocument, Edge,
-                     NodeKind, ParseError, TableKnot, TooManyNodes,
-                     UnsupportedVersion, base_diagram, parse, serialize)
-from gen import diagrams, random_document_diagram
+from anndiag import (H2, DanglingEndpoint, Diagram, DiagramDocument,
+                     DiagramError, Edge, NodeKind, ParseError, TableKnot,
+                     TooManyNodes, UnsupportedVersion, base_diagram, parse,
+                     parse_label, parse_slope, parse_slope_pair, serialize)
+from gen import TOO_LONG, diagrams, grammar_text, random_document_diagram
 
 U = NodeKind.UNKNOWN
 
@@ -56,6 +57,10 @@ class TestParse:
     def test_tolerates_blank_lines_and_trailing_whitespace(self):
         text = ("annulusdiagram v1   \n\n  \nnodes: u u\t\n\n"
                 "edge: 0 1 k1(4/3) \n\n")
+        assert parse(text).diagram == base_diagram(TableKnot.K5_2).diagram
+
+    def test_tabs_separate_tokens(self):
+        text = "annulusdiagram v1\nnodes: u\t u\nedge: 0\t1\tk1(4/3)\n"
         assert parse(text).diagram == base_diagram(TableKnot.K5_2).diagram
 
     def test_stored_order_preserved(self):
@@ -143,6 +148,36 @@ class TestParseErrors:
             parse("annulusdiagram v1\nnodes: u\nvertex: 0\n")
         assert err.value.expected == ("edge:", "name:", "note:")
 
+    @pytest.mark.parametrize("edge, col", [
+        ("edge: 0 1 k1(²/3)", 14),
+        ("edge: 0 1 k1(٣/2)", 14),
+        ("edge: 0 1 k1(4/٣)", 16),
+        ("edge: 0 ١ h1", 9),
+        ("edge: 0\tx h1", 9),
+        ("edge: 0 1\th1 x", 14),
+    ])
+    def test_edge_error_positions(self, edge, col):
+        with pytest.raises(ParseError) as err:
+            parse(f"annulusdiagram v1\nnodes: u u\n{edge}\n")
+        assert (err.value.line, err.value.col) == (3, col)
+
+    @pytest.mark.skipif(TOO_LONG is None, reason="int() has no string limit")
+    @pytest.mark.parametrize("edge, col", [
+        (f"edge: 0 1 k1({TOO_LONG}/3)", 14),
+        (f"edge: {TOO_LONG} 0 h1", 7),
+    ], ids=["slope", "index"])
+    def test_number_past_the_int_limit(self, edge, col):
+        with pytest.raises(ParseError) as err:
+            parse(f"annulusdiagram v1\nnodes: u u\n{edge}\n")
+        assert (err.value.line, err.value.col) == (3, col)
+        assert "too long" in err.value.message
+
+    def test_non_ascii_version_digit_is_not_a_version(self):
+        with pytest.raises(ParseError) as err:
+            parse("annulusdiagram v٣\nnodes:\n")
+        assert type(err.value) is ParseError
+        assert (err.value.line, err.value.col) == (1, 1)
+
     def test_too_many_nodes(self):
         with pytest.raises(TooManyNodes) as err:
             parse("annulusdiagram v1\nnodes: " + " ".join(["u"] * 17) + "\n")
@@ -175,3 +210,25 @@ class TestFuzz:
             except (ParseError, DanglingEndpoint, TooManyNodes) as err:
                 assert getattr(err, "line", None) is not None
             # Any other exception propagates and fails the test.
+
+
+class TestTotality:
+    """Every text comes back as a value or a typed, positioned error."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.text(), grammar_text))
+    @pytest.mark.parametrize("parser", [parse, parse_label, parse_slope,
+                                        parse_slope_pair])
+    def test_value_or_typed_error(self, parser, text):
+        try:
+            parser(text)
+        except (ParseError, DiagramError) as err:
+            assert isinstance(getattr(err, "line", None), int)
+
+    @settings(max_examples=300)
+    @given(grammar_text)
+    def test_documents_past_the_header(self, body):
+        try:
+            parse("annulusdiagram v1\nnodes: u u\n" + body)
+        except (ParseError, DiagramError) as err:
+            assert isinstance(err.line, int)

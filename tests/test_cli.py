@@ -1,7 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import anndiag
 from anndiag import TableKnot, base_diagram, parse
 from anndiag.cli import main
 
@@ -76,6 +80,16 @@ class TestShow:
         status, _, err = run(capsys, "show", "/no/such/file.ad")
         assert status == 2
         assert "cannot read" in err
+
+    def test_non_ascii_member_number_is_a_path(self, capsys):
+        status, out, err = run(capsys, "show", "motto:٣")
+        assert (status, out) == (2, "")
+        assert err.startswith("error: cannot read motto:٣")
+
+    def test_member_number_past_the_int_limit(self, capsys):
+        status, out, err = run(capsys, "show", "motto:-" + "9" * 5000)
+        assert (status, out) == (2, "")
+        assert err == "error: motto parameter: number too long (5000 digits)\n"
 
 
 class TestTable:
@@ -219,3 +233,18 @@ class TestUsage:
                      ["validate", str(bad)], ["compare", str(bad), "5_2"]):
             assert main(argv) == 3
             capsys.readouterr()
+
+
+def test_closed_pipe_is_quiet():
+    """``anndiag table motto 0 200000 | head -1`` stops with status 0."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(anndiag.__file__)))
+    with subprocess.Popen(
+            [sys.executable, "-m", "anndiag.cli", "table", "motto", "0",
+             "200000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env) as proc:
+        assert proc.stdout.readline() == b"0\th2,k2(2)\tcircle-stick\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    assert (status, err) == (0, b"")

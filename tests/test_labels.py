@@ -5,7 +5,7 @@ from anndiag import (EM, H1, H2, ParseError, SeparationClass, Slope,
                      SlopePair, Strictness, ViolationCode, ell, k1, k2,
                      label_to_text, parse_label, separation_class,
                      validate_label)
-from gen import labels
+from gen import TOO_LONG, labels
 
 
 def codes(result):
@@ -112,8 +112,26 @@ class TestGrammar:
 
     @pytest.mark.parametrize("bad", [
         "", "k1", "k1(", "k1()", "k1(inf", "k1(4/3) extra", "l(1/2)",
-        "l(1/2,)", "l(,2)", "l(?", "h1()", "k1(0/0)",
+        "l(1/2,)", "l(,2)", "l(?", "h1()", "k1(0/0)", "k1(²/3)", "k1(٣/2)",
+        "l(1/2,٢)", "k1(\xa01/2)", "k1(1/2)\n",
     ])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_label(bad)
+
+    def test_tabs_between_tokens(self):
+        assert parse_label("\tk2\t(\t-1/2\t)") == k2(Slope(-1, 2))
+
+    @pytest.mark.parametrize("text, col", [("k1(²/3)", 4), ("k1(٣/2)", 4),
+                                           ("l(1/2,٢)", 7), ("k2(1/٣)", 6)])
+    def test_non_ascii_digit_position(self, text, col):
+        with pytest.raises(ParseError) as err:
+            parse_label(text)
+        assert err.value.col == col
+
+    @pytest.mark.skipif(TOO_LONG is None, reason="int() has no string limit")
+    def test_number_past_the_int_limit_is_positioned(self):
+        with pytest.raises(ParseError) as err:
+            parse_label(f"l(1/2,{TOO_LONG})")
+        assert err.value.col == 7
+        assert "too long" in err.value.message

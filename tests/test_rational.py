@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from anndiag import (FormClass, InfiniteSlope, NotUnimodular, ParseError,
                      Slope, SlopePair, ZeroOverZero, apply_unimodular,
                      pair_form, parse_slope, parse_slope_pair)
-from gen import finite_slopes, slopes
+from gen import TOO_LONG, finite_slopes, slopes
 from oracle import expected_pair_form
 
 
@@ -152,10 +152,51 @@ class TestTextSyntax:
         assert parse_slope(str(s)) == s
 
     @pytest.mark.parametrize("bad", ["", "/3", "2/", "2/-3", "--2", "0/0",
-                                     "4/3x", "infx"])
+                                     "4/3x", "infx", "²/3", "٣/2", "3/٢",
+                                     "+3", "4/3\n", "\xa04/3", "1_0"])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_slope(bad)
+
+    def test_spaces_and_tabs_around_a_slope(self):
+        assert parse_slope(" \t-4/6\t ") == Slope(-2, 3)
+
+    @pytest.mark.parametrize("text, col, message", [
+        ("²/3", 1, "expected a slope"),
+        ("-٣/2", 1, "expected a slope"),
+        ("3/٢", 3, "expected a denominator"),
+        ("  4/3x", 6, "trailing characters after slope"),
+    ])
+    def test_non_ascii_digits_are_positioned(self, text, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_slope(text)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert err.value.message == message
+
+    @pytest.mark.skipif(TOO_LONG is None, reason="int() has no string limit")
+    @pytest.mark.parametrize("template, col", [("{}/3", 1), ("-{}", 2),
+                                               ("1/{}", 3)])
+    def test_number_past_the_int_limit_is_positioned(self, template, col):
+        with pytest.raises(ParseError) as err:
+            parse_slope(template.format(TOO_LONG))
+        assert (err.value.line, err.value.col) == (1, col)
+        assert err.value.message == f"number too long ({len(TOO_LONG)} digits)"
+
+    @pytest.mark.parametrize("text, col, message", [
+        ("(1/2,x)", 6, "expected a slope"),
+        ("1/2,2)", 1, "expected '('"),
+        ("(1/2 2)", 6, "expected ','"),
+        ("(1/2,2", 7, "expected ')'"),
+        ("(1/2,2)x", 8, "trailing characters after slope pair"),
+    ])
+    def test_pair_errors_are_positioned(self, text, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_slope_pair(text)
+        assert (err.value.col, err.value.message) == (col, message)
+
+    def test_pair_tolerates_spaces_and_tabs(self):
+        assert parse_slope_pair(" (\t1/2 , 2 )\t") == SlopePair(
+            Slope(1, 2), Slope(2, 1))
 
     def test_pair_round_trip(self):
         pr = SlopePair(Slope(-2, 3), Slope(5, 1))
