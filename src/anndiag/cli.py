@@ -15,10 +15,10 @@ import os
 import sys
 
 from .catalog_io import DiagramDocument, parse, serialize
-from .diagram import canonical_form, shape_of, validate_diagram
+from .diagram import Diagram, canonical_form, shape_of, validate_diagram
 from .errors import DiagramError, ParameterOutOfDomain, ParseError
 from .families import (Family, TableKnot, base_diagram, decide_equivalence,
-                       distinguish, family_diagram)
+                       family_diagram)
 from .labels import Strictness, label_to_text
 from .rational import scan_digits
 
@@ -60,18 +60,36 @@ def _resolve(target: str) -> DiagramDocument:
     family, _, number = target.partition(":")
     if family not in _FAMILY_NAMES:
         return _read_document(target)
-    neg = number.startswith("-")
     try:
-        n, end = scan_digits(number, 1 if neg else 0)
+        n = integer(number)
     except ParseError as err:
         raise _CliError(2, f"{family} parameter: {err.message}") from None
-    if n is None or end != len(number):
+    except ValueError:
         return _read_document(target)
     try:
-        d = family_diagram(Family(family), -n if neg else n)
+        d, _ = _member(Family(family), n)
     except ParameterOutOfDomain as err:
         raise _CliError(2, str(err)) from None
     return DiagramDocument(d, name=target, note=f"shape={shape_of(d).value}")
+
+
+def integer(text: str) -> int:
+    """An optional ``-`` then ASCII digits, else a ValueError (a ParseError
+    past the int-string limit); argparse prints this function's name."""
+    neg = text.startswith("-")
+    n, end = scan_digits(text, 1 if neg else 0)
+    if n is None or end != len(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return -n if neg else n
+
+
+def _member(family: Family, n: int) -> tuple[Diagram, list[str]]:
+    """The n-th member of ``family`` and its edge labels as text."""
+    d = family_diagram(family, n)
+    try:
+        return d, [label_to_text(e.label) for e in d.edges]
+    except ValueError:  # a slope past the int-string limit
+        raise _CliError(2, f"{family.value} member too large to print") from None
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
@@ -94,22 +112,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
     family = Family(args.family)
     for n in range(args.frm, args.to + 1):
         try:
-            d = family_diagram(family, n)
+            d, labels = _member(family, n)
         except ParameterOutOfDomain:
             continue
-        labels = ",".join(label_to_text(e.label) for e in d.edges)
-        print(f"{n}\t{labels}\t{shape_of(d).value}")
+        print(f"{n}\t{','.join(labels)}\t{shape_of(d).value}")
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     d1 = _resolve(args.a).diagram
     d2 = _resolve(args.b).diagram
-    if args.homeo:
-        verdict = decide_equivalence(d1, d2, exteriors_homeomorphic=True)
-    else:
-        verdict = distinguish(d1, d2)
-    print(verdict.value)
+    print(decide_equivalence(d1, d2, args.homeo).value)
     return 0
 
 
@@ -144,8 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="tabulate a family over a parameter range")
     p.add_argument("family", choices=[f.value for f in Family])
-    p.add_argument("frm", metavar="FROM", type=int)
-    p.add_argument("to", metavar="TO", type=int)
+    p.add_argument("frm", metavar="FROM", type=integer)
+    p.add_argument("to", metavar="TO", type=integer)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("compare", help="compare two diagrams")

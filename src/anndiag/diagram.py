@@ -106,47 +106,35 @@ def shape_of(d: Diagram) -> ShapeClass:
     return ShapeClass.OTHER
 
 
-def _encode(kinds: tuple[NodeKind, ...], edges: Iterable[tuple[int, int, str]]) -> bytes:
-    head = "".join(k.value for k in kinds)
-    body = ";".join(sorted(f"{a}.{b}.{text}" for a, b, text in edges))
-    return f"{head}|{body}".encode("ascii")
-
-
 def canonical_form(d: Diagram) -> bytes:
     """A byte string equal for isomorphic diagrams and unequal otherwise.
 
-    Minimizes, over all node permutations, the encoding of the permuted
-    node-kind vector together with the sorted multiset of
-    (min endpoint, max endpoint, label text) triples.  Node kinds take part
-    in the encoding, and UNKNOWN matches only UNKNOWN.  Deterministic across
-    runs and platforms; cost grows factorially with the node count.
+    The node kinds in sorted order, ``|``, and the least ``;``-joined sorted
+    list of (min endpoint, max endpoint, label text) triples over the node
+    permutations that keep the kinds sorted; any other permutation starts
+    with a larger kind string of the same length.  UNKNOWN matches only
+    UNKNOWN.  Deterministic across runs and platforms.  All n! orders are
+    scanned and triples are built for the product of the kind-class sizes'
+    factorials, so the cost grows factorially with the node count.
     """
-    labels = [label_to_text(e.label) for e in d.edges]
+    kinds = "".join(k.value for k in d.nodes)
+    head = "".join(sorted(kinds))
+    ends = [(e.a, e.b, label_to_text(e.label)) for e in d.edges]
     best = None
-    for perm in permutations(range(len(d.nodes))):
-        kinds = tuple(d.nodes[i] for i in _inverse(perm))
-        triples = []
-        for e, text in zip(d.edges, labels):
-            a, b = perm[e.a], perm[e.b]
-            triples.append((a, b, text) if a <= b else (b, a, text))
-        enc = _encode(kinds, triples)
-        if best is None or enc < best:
-            best = enc
-    return best  # permutations() yields at least the empty permutation
-
-
-def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for old, new in enumerate(perm):
-        inv[new] = old
-    return tuple(inv)
+    for perm in permutations(range(len(kinds))):
+        if "".join(map(head.__getitem__, perm)) != kinds:
+            continue
+        moved = ((perm[a], perm[b], text) for a, b, text in ends)
+        body = ";".join(sorted([f"{a}.{b}.{text}" if a <= b else
+                                f"{b}.{a}.{text}" for a, b, text in moved]))
+        if best is None or body < best:
+            best = body
+    return f"{head}|{best}".encode("ascii")
 
 
 def are_isomorphic(d1: Diagram, d2: Diagram) -> bool:
     """True iff the diagrams agree up to relabeling of nodes."""
-    if len(d1.nodes) != len(d2.nodes) or len(d1.edges) != len(d2.edges):
-        return False
-    if Counter(d1.nodes) != Counter(d2.nodes):
+    if len(d1.edges) != len(d2.edges) or Counter(d1.nodes) != Counter(d2.nodes):
         return False
     return canonical_form(d1) == canonical_form(d2)
 

@@ -45,7 +45,7 @@ class DanglingEndpoint(DiagramError):
 
 
 class TooManyNodes(DiagramError):
-    """Raised when a diagram exceeds the canonicalization bound of 16 nodes."""
+    """Raised when a diagram exceeds the node bound ``diagram.MAX_NODES``."""
 
 
 class ParseError(ValueError):

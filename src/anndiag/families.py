@@ -165,9 +165,7 @@ def base_diagram(knot: TableKnot) -> CatalogEntry:
 def distinguish(d1: Diagram, d2: Diagram) -> Verdict:
     """INEQUIVALENT when the diagrams differ; isomorphic diagrams alone never
     certify equivalence, so the other verdict is INCONCLUSIVE."""
-    if not are_isomorphic(d1, d2):
-        return Verdict.INEQUIVALENT
-    return Verdict.INCONCLUSIVE
+    return decide_equivalence(d1, d2, False)
 
 
 _DECISIVE_SHAPES = (ShapeClass.CIRCLE_STICK, ShapeClass.THETA)

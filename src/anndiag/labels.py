@@ -206,7 +206,7 @@ def label_to_text(lab: AnnulusLabel) -> str:
     if lab.kind is LabelKind.L:
         if lab.pair is None:
             return "l(?)"
-        return f"l({lab.pair.first},{lab.pair.second})"
+        return f"l{lab.pair}"
     return lab.kind.value
 
 

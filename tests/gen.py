@@ -108,6 +108,8 @@ def random_document_diagram(rng: random.Random, max_nodes=6, max_edges=6) -> Dia
 # CPython's default limit of 4300.  None where int() has no such limit.
 _INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 TOO_LONG = "1" + "0" * _INT_LIMIT + "1" if _INT_LIMIT else None
+# The largest number that limit lets through.
+AT_LIMIT = "9" * _INT_LIMIT if _INT_LIMIT else None
 
 
 # hypothesis strategies

@@ -1,9 +1,10 @@
 """Independent oracles the library is checked against.
 
 These deliberately avoid the code paths they verify: isomorphism is decided
-by raw permutation search over node bijections, and slope-pair forms are
-decided with fractions.Fraction arithmetic straight from the definitions
-(p/q, q/p) with pq != 0 and (p/q, pq) with q != 0.
+by raw permutation search over node bijections, canonical keys by
+minimizing the encoding over every node permutation, and slope-pair forms
+are decided with fractions.Fraction arithmetic straight from the
+definitions (p/q, q/p) with pq != 0 and (p/q, pq) with q != 0.
 """
 
 from __future__ import annotations
@@ -34,6 +35,25 @@ def brute_force_isomorphic(d1, d2) -> bool:
         if mapped == target:
             return True
     return False
+
+
+def brute_force_key(d) -> bytes:
+    """The least encoding over all node permutations: the permuted kind
+    vector, ``|``, and the ``;``-joined sorted (min endpoint, max endpoint,
+    label) triples.  No permutation is skipped."""
+    n = len(d.nodes)
+    best = None
+    for perm in permutations(range(n)):
+        kinds = [None] * n
+        for old, new in enumerate(perm):
+            kinds[new] = d.nodes[old].value
+        triples = sorted(
+            f"{min(perm[e.a], perm[e.b])}.{max(perm[e.a], perm[e.b])}.{e.label}"
+            for e in d.edges)
+        enc = ("".join(kinds) + "|" + ";".join(triples)).encode("ascii")
+        if best is None or enc < best:
+            best = enc
+    return best
 
 
 def _is_reciprocal_form(x: Fraction, y: Fraction) -> bool:

@@ -8,6 +8,7 @@ import pytest
 import anndiag
 from anndiag import TableKnot, base_diagram, parse
 from anndiag.cli import main
+from gen import AT_LIMIT
 
 FIVE_TWO_SHOW = (
     "annulusdiagram v1\n"
@@ -219,11 +220,26 @@ class TestUsage:
         ["table", "ll2", "0"], ["table", "ll2", "x", "1"],
         ["table", "bogus", "0", "1"], ["compare", "e:1"], ["canon"],
         ["validate"], ["compare", "--bogus", "e:1", "e:2"],
+        ["table", "motto", "٣", "٤"], ["table", "motto", "1_0", "1_1"],
+        ["table", "motto", "-" + "9" * 5000, "0"],
     ])
     def test_malformed_invocations_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+    # A member whose slope has more digits than the int-string limit.
+    @pytest.mark.skipif(AT_LIMIT is None, reason="no int-string limit")
+    @pytest.mark.parametrize("argv, family", [
+        (["show", f"ll2:{AT_LIMIT}"], "ll2"),
+        (["show", f"motto:{AT_LIMIT}"], "motto"),
+        (["canon", f"ll2:{AT_LIMIT}"], "ll2"),
+        (["compare", "5_2", f"ll2:{AT_LIMIT}"], "ll2"),
+        (["table", "ll2", AT_LIMIT, AT_LIMIT], "ll2"),
+    ], ids=["show-ll2", "show-motto", "canon", "compare", "table"])
+    def test_member_too_large_to_print(self, argv, family, capsys):
+        assert run(capsys, *argv) == (
+            2, "", f"error: {family} member too large to print\n")
 
     def test_file_errors_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.ad"

@@ -11,9 +11,9 @@ from anndiag import (EM, H1, H2, DanglingEndpoint, Diagram, Edge, Family,
                      validate_diagram)
 from gen import diagrams, enumerate_diagrams, permuted_copy, random_diagram
 from gen import labels as labels_strategy
-from oracle import brute_force_isomorphic
+from oracle import brute_force_isomorphic, brute_force_key
 
-U = NodeKind.UNKNOWN
+S, H, U = NodeKind.FIBERED, NodeKind.SIMPLE, NodeKind.UNKNOWN
 PAIR = SlopePair(Slope(1, 2), Slope(2, 1))
 
 
@@ -108,9 +108,29 @@ class TestCanonicalForm:
         rng = random.Random(canonical_form(d))
         assert canonical_form(permuted_copy(rng, d)) == canonical_form(d)
 
-    def test_deterministic_bytes(self):
-        d = Diagram((U, U), (Edge(0, 1, k1(Slope(4, 3))),))
-        assert canonical_form(d) == b"uu|0.1.k1(4/3)"
+    # Exact key bytes: keys stored by earlier versions must keep matching.
+    @pytest.mark.parametrize("d, key", [
+        pytest.param(Diagram((U, U), (Edge(0, 1, k1(Slope(4, 3))),)),
+                     b"uu|0.1.k1(4/3)", id="stick"),
+        pytest.param(Diagram(), b"|", id="empty"),
+        pytest.param(Diagram((S, H)), b"hs|", id="edgeless-mixed"),
+        pytest.param(Diagram((U, S, H), (Edge(0, 0, H1),
+                                         Edge(2, 0, k2(Slope(2, 1))),
+                                         Edge(1, 2, ell(PAIR)))),
+                     b"hsu|0.1.l(1/2,2);0.2.k2(2);2.2.h1", id="mixed-loop"),
+    ])
+    def test_deterministic_bytes(self, d, key):
+        assert canonical_form(d) == key
+
+    @settings(max_examples=200)
+    @given(diagrams())
+    def test_matches_the_all_permutation_key(self, d):
+        assert canonical_form(d) == brute_force_key(d)
+
+    def test_matches_the_all_permutation_key_on_small_universe(self):
+        for d in enumerate_diagrams(max_nodes=2, max_edges=2,
+                                    kinds=tuple(NodeKind)):
+            assert canonical_form(d) == brute_force_key(d)
 
 
 class TestIsomorphism:
