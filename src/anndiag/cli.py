@@ -62,8 +62,8 @@ def _resolve(target: str) -> DiagramDocument:
         return _read_document(target)
     try:
         n = integer(number)
-    except ParseError as err:
-        raise _CliError(2, f"{family} parameter: {err.message}") from None
+    except argparse.ArgumentTypeError as err:
+        raise _CliError(2, f"{family} parameter: {err}") from None
     except ValueError:
         return _read_document(target)
     try:
@@ -74,10 +74,13 @@ def _resolve(target: str) -> DiagramDocument:
 
 
 def integer(text: str) -> int:
-    """An optional ``-`` then ASCII digits, else a ValueError (a ParseError
-    past the int-string limit); argparse prints this function's name."""
+    """An optional ``-`` then ASCII digits, else a ValueError, or past the
+    int-string limit an ArgumentTypeError (argparse prints its message)."""
     neg = text.startswith("-")
-    n, end = scan_digits(text, 1 if neg else 0)
+    try:
+        n, end = scan_digits(text, 1 if neg else 0)
+    except ParseError as err:
+        raise argparse.ArgumentTypeError(err.message) from None
     if n is None or end != len(text):
         raise ValueError(f"not an integer: {text!r}")
     return -n if neg else n

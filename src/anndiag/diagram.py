@@ -7,14 +7,13 @@ annulus, labeled by its annulus type.  Loops are allowed.  Diagrams are
 symbolic inputs: nothing here computes them from 3-manifold data.
 
 Equality of diagrams "up to isotopy" is realized as labeled-graph
-isomorphism, decided by comparing canonical forms obtained by brute-force
-minimization over node permutations.  Every diagram that actually arises
-has at most a handful of nodes; the hard cap is :data:`MAX_NODES`.
+isomorphism, decided by comparing canonical forms (brute-force minima over
+node permutations), each computed once per ``Diagram`` and stored on it.
+Diagrams that arise have few nodes; the hard cap is :data:`MAX_NODES`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
@@ -115,8 +114,13 @@ def canonical_form(d: Diagram) -> bytes:
     with a larger kind string of the same length.  UNKNOWN matches only
     UNKNOWN.  Deterministic across runs and platforms.  All n! orders are
     scanned and triples are built for the product of the kind-class sizes'
-    factorials, so the cost grows factorially with the node count.
+    factorials, so the cost grows factorially with the node count.  The key
+    is stored on ``d``, not as a field, and reused: ``d`` is wholly frozen.
     """
+    try:
+        return d._key
+    except AttributeError:
+        pass
     kinds = "".join(k.value for k in d.nodes)
     head = "".join(sorted(kinds))
     ends = [(e.a, e.b, label_to_text(e.label)) for e in d.edges]
@@ -129,12 +133,13 @@ def canonical_form(d: Diagram) -> bytes:
                                 f"{b}.{a}.{text}" for a, b, text in moved]))
         if best is None or body < best:
             best = body
-    return f"{head}|{best}".encode("ascii")
+    object.__setattr__(d, "_key", f"{head}|{best}".encode("ascii"))
+    return d._key
 
 
 def are_isomorphic(d1: Diagram, d2: Diagram) -> bool:
     """True iff the diagrams agree up to relabeling of nodes."""
-    if len(d1.edges) != len(d2.edges) or Counter(d1.nodes) != Counter(d2.nodes):
+    if len(d1.nodes) != len(d2.nodes) or len(d1.edges) != len(d2.edges):
         return False
     return canonical_form(d1) == canonical_form(d2)
 

@@ -180,6 +180,8 @@ def decide_equivalence(d1: Diagram, d2: Diagram,
     The circle shape stays INCONCLUSIVE even with homeomorphic exteriors:
     the E family shares one circle diagram and one exterior across
     infinitely many inequivalent knots.  Everything else is INCONCLUSIVE.
+    ``exteriors_homeomorphic=False`` means "not known to be homeomorphic",
+    not "known to differ".
     """
     if not are_isomorphic(d1, d2):
         return Verdict.INEQUIVALENT

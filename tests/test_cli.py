@@ -227,6 +227,10 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.startswith("anndiag") and "error: " in message
+        if any(len(arg) > 120 for arg in argv):  # not echoed whole
+            assert len(message) < 120
 
     # A member whose slope has more digits than the int-string limit.
     @pytest.mark.skipif(AT_LIMIT is None, reason="no int-string limit")

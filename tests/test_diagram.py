@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from itertools import combinations
 
@@ -131,6 +134,46 @@ class TestCanonicalForm:
         for d in enumerate_diagrams(max_nodes=2, max_edges=2,
                                     kinds=tuple(NodeKind)):
             assert canonical_form(d) == brute_force_key(d)
+
+
+class TestKeyCache:
+    @settings(max_examples=100)
+    @given(diagrams())
+    def test_second_call_returns_the_stored_key(self, d):
+        first = canonical_form(d)
+        assert first == brute_force_key(d)
+        second = canonical_form(d)
+        assert second is first
+        assert second == brute_force_key(d)
+
+    def test_stored_key_is_not_a_field(self):
+        keyed = Diagram((U, S), (Edge(0, 1, k1(Slope(4, 3))),))
+        canonical_form(keyed)
+        fresh = Diagram((U, S), (Edge(0, 1, k1(Slope(4, 3))),))
+        assert keyed == fresh
+        assert hash(keyed) == hash(fresh)
+        assert repr(keyed) == repr(fresh)
+        assert dataclasses.fields(keyed) == dataclasses.fields(fresh)
+        assert [f.name for f in dataclasses.fields(keyed)] == ["nodes", "edges"]
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, lambda d: pickle.loads(pickle.dumps(d))],
+        ids=["copy", "pickle"])
+    def test_clones_keep_the_key(self, clone):
+        d = Diagram((U, S, H), (Edge(0, 0, H1), Edge(2, 0, k2(Slope(2, 1)))))
+        key = canonical_form(d)
+        twin = clone(d)
+        assert twin == d
+        assert canonical_form(twin) == key
+
+    # Same node and edge counts, different kinds: equal keys need equal kinds.
+    @pytest.mark.parametrize("d1, d2", [
+        (Diagram((S, H)), Diagram((S, S))),
+        (Diagram((H, U), (Edge(0, 1, H2),)), Diagram((S, U), (Edge(0, 1, H2),))),
+    ], ids=["edgeless", "one-h2"])
+    def test_kinds_distinguish(self, d1, d2):
+        assert not are_isomorphic(d1, d2)
+        assert not are_isomorphic(d2, d1)
 
 
 class TestIsomorphism:

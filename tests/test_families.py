@@ -9,8 +9,8 @@ from anndiag import (H1, H2, CatalogEntry, Diagram, Edge,
                      SlopePair, TableKnot, Verdict, are_isomorphic,
                      base_diagram, decide_equivalence, distinguish, ell,
                      e_family_crossing_number, family_diagram, k1,
-                     leelee2_companion_torus_knot, pair_form, shape_of,
-                     validate_diagram)
+                     label_to_text, leelee2_companion_torus_knot, pair_form,
+                     shape_of, validate_diagram)
 
 U = NodeKind.UNKNOWN
 
@@ -171,6 +171,21 @@ class TestDistinguish:
     def test_ll1_and_variant_can_coincide(self):
         assert are_isomorphic(family_diagram(Family.LL1, 2),
                               family_diagram(Family.LL1_VARIANT, 1))
+
+    def test_each_key_is_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(label):
+            calls.append(label)
+            return label_to_text(label)
+
+        monkeypatch.setattr("anndiag.diagram.label_to_text", counting)
+        window = [family_diagram(Family.MOTTO, n) for n in range(-10, 10)]
+        for d1 in window:
+            for d2 in window:
+                if d1 is not d2:
+                    assert distinguish(d1, d2) is Verdict.INEQUIVALENT
+        assert len(calls) == sum(len(d.edges) for d in window) == 40
 
 
 class TestDecideEquivalence:
