@@ -46,11 +46,8 @@ class DiagramDocument:
     diagram: Diagram
     name: str | None = None
     note: str | None = None
-    version: str = FORMAT_VERSION
 
     def __post_init__(self):
-        if self.version != FORMAT_VERSION:
-            raise UnsupportedVersion(f"unknown format version {self.version!r}")
         for field in (self.name, self.note):
             if field is not None and (field == "" or field != field.strip()
                                       or "\n" in field):
@@ -62,11 +59,7 @@ class DiagramDocument:
 def serialize(doc: DiagramDocument) -> str:
     """Emit the document; byte-deterministic for equal inputs."""
     d = doc.diagram
-    if d.nodes:
-        nodes_line = "nodes: " + " ".join(k.value for k in d.nodes)
-    else:
-        nodes_line = "nodes:"
-    lines = [_HEADER, nodes_line]
+    lines = [_HEADER, " ".join(["nodes:"] + [k.value for k in d.nodes])]
     lines.extend(f"edge: {e.a} {e.b} {label_to_text(e.label)}" for e in d.edges)
     if doc.name is not None:
         lines.append(f"name: {doc.name}")
@@ -76,23 +69,27 @@ def serialize(doc: DiagramDocument) -> str:
 
 
 def _parse_nodes(line: str) -> list[NodeKind]:
+    tokens = list(_BLANK_SEPARATED.finditer(line, len("nodes:")))
     kinds: list[NodeKind] = []
-    for token in _BLANK_SEPARATED.finditer(line, len("nodes:")):
+    for token in tokens:
         if token[0] not in _NODE_KINDS:
             raise ParseError(f"unknown node kind {token[0]!r}",
                              col=token.start() + 1, expected=("s", "h", "u"))
         kinds.append(_NODE_KINDS[token[0]])
     if len(kinds) > MAX_NODES:
         raise TooManyNodes(
-            f"{len(kinds)} nodes exceeds the bound of {MAX_NODES}")
+            f"{len(kinds)} nodes exceeds the bound of {MAX_NODES}",
+            col=tokens[MAX_NODES].start() + 1)
     return kinds
 
 
 def _parse_edge(line: str, node_count: int) -> Edge:
-    a, pos = scan_digits(line, skip_ws(line, len("edge:")))
+    a_at = skip_ws(line, len("edge:"))
+    a, pos = scan_digits(line, a_at)
     b = None
     if a is not None:
-        b, pos = scan_digits(line, skip_ws(line, pos))
+        b_at = skip_ws(line, pos)
+        b, pos = scan_digits(line, b_at)
     if b is None:
         raise ParseError("expected a node index", col=pos + 1,
                          expected=("decimal node index",))
@@ -102,7 +99,8 @@ def _parse_edge(line: str, node_count: int) -> Edge:
         raise ParseError("trailing characters after label", col=pos + 1)
     if not (a < node_count and b < node_count):
         raise DanglingEndpoint(
-            f"edge ({a}, {b}) references a node outside 0..{node_count - 1}")
+            f"edge ({a}, {b}) references a node outside 0..{node_count - 1}",
+            col=(a_at if a >= node_count else b_at) + 1)
     return Edge(a, b, label)
 
 

@@ -36,7 +36,7 @@ __all__ = [
     "validate_diagram",
 ]
 
-# Brute-force canonicalization bound.
+# Caps Diagram size; canonical_form's exhaustive search does not reach it.
 MAX_NODES = 16
 
 
@@ -171,8 +171,7 @@ def validate_diagram(d: Diagram,
 
     if shape_of(d) is ShapeClass.STICK:
         lab = d.edges[0].label
-        if not (lab.kind is LabelKind.K1 and not lab.slope.is_infinite
-                and not lab.slope.is_integral):
+        if lab.kind is not LabelKind.K1 or not validate_label(lab).ok:
             violations.append(Violation(
                 ViolationCode.STICK_MUST_BE_K1, "diagram",
                 f"stick diagram must carry k1 with a non-integral slope, "

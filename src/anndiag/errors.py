@@ -30,14 +30,19 @@ class ParameterOutOfDomain(ValueError):
 
 
 class DiagramError(ValueError):
-    """Base class for structural diagram errors.
+    """Base class for structural diagram errors.  The file parser sets the
+    1-based ``line`` and ``col`` of the offending token, and the error then
+    prints as a :class:`ParseError` does; elsewhere it is the bare message."""
 
-    Carries an optional 1-based ``line`` when surfaced by the file parser.
-    """
-
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, col: int = 1):
         super().__init__(message)
+        self.message = message
         self.line = line
+        self.col = col
+        self.expected = ()
+
+    def __str__(self) -> str:
+        return self.message if self.line is None else ParseError.__str__(self)
 
 
 class DanglingEndpoint(DiagramError):

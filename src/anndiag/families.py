@@ -162,32 +162,29 @@ def base_diagram(knot: TableKnot) -> CatalogEntry:
         "circle-stick criterion shows the exterior determines the knot type")
 
 
-def distinguish(d1: Diagram, d2: Diagram) -> Verdict:
-    """INEQUIVALENT when the diagrams differ; isomorphic diagrams alone never
-    certify equivalence, so the other verdict is INCONCLUSIVE."""
-    return decide_equivalence(d1, d2, False)
-
-
 _DECISIVE_SHAPES = (ShapeClass.CIRCLE_STICK, ShapeClass.THETA)
 
 
 def decide_equivalence(d1: Diagram, d2: Diagram,
-                       exteriors_homeomorphic: bool) -> Verdict:
+                       exteriors_homeomorphic: bool = False) -> Verdict:
     """Decide (in)equivalence of two handlebody-knots from their diagrams.
 
-    Non-isomorphic diagrams give INEQUIVALENT.  Isomorphic circle-stick or
-    theta diagrams together with homeomorphic exteriors give EQUIVALENT.
-    The circle shape stays INCONCLUSIVE even with homeomorphic exteriors:
-    the E family shares one circle diagram and one exterior across
-    infinitely many inequivalent knots.  Everything else is INCONCLUSIVE.
-    ``exteriors_homeomorphic=False`` means "not known to be homeomorphic",
-    not "known to differ".
+    Non-isomorphic diagrams give INEQUIVALENT; isomorphic diagrams alone
+    never certify equivalence.  Isomorphic circle-stick or theta diagrams
+    together with homeomorphic exteriors give EQUIVALENT.  The circle shape
+    stays INCONCLUSIVE even with homeomorphic exteriors: the E family shares
+    one circle diagram and one exterior across infinitely many inequivalent
+    knots.  Everything else is INCONCLUSIVE.  ``exteriors_homeomorphic=False``
+    means "not known to be homeomorphic", not "known to differ".
     """
     if not are_isomorphic(d1, d2):
         return Verdict.INEQUIVALENT
     if exteriors_homeomorphic and shape_of(d1) in _DECISIVE_SHAPES:
         return Verdict.EQUIVALENT
     return Verdict.INCONCLUSIVE
+
+
+distinguish = decide_equivalence
 
 
 def e_family_crossing_number(n: int) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -40,9 +41,10 @@ class TestSerialize:
             with pytest.raises(ValueError):
                 DiagramDocument(d, name=bad)
 
-    def test_unknown_version_rejected(self):
-        with pytest.raises(UnsupportedVersion):
-            DiagramDocument(Diagram(), version="v2")
+    def test_fields_are_the_diagram_and_its_metadata(self):
+        # The format version lives in the header alone.
+        assert [f.name for f in dataclasses.fields(DiagramDocument)] == [
+            "diagram", "name", "note"]
 
 
 class TestParse:
@@ -182,6 +184,20 @@ class TestParseErrors:
         with pytest.raises(TooManyNodes) as err:
             parse("annulusdiagram v1\nnodes: " + " ".join(["u"] * 17) + "\n")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("body, line, col", [
+        ("nodes: u u\nedge: 0 5 h2", 3, 9),
+        ("nodes: u u\nedge: 7\t9 h2", 3, 7),
+        ("nodes: u u\n\nedge: 0 1 h2\nedge: 1  2 h2", 5, 10),
+        ("nodes: " + " ".join(["u"] * 17), 2, 40),
+        ("nodes: " + "\t".join(["s", "h"] * 10), 2, 40),
+    ], ids=["second-index", "first-index", "third-edge", "kinds", "tabs"])
+    def test_structural_error_positions(self, body, line, col):
+        with pytest.raises(DiagramError) as err:
+            parse(f"annulusdiagram v1\n{body}\n")
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value) == f"line {line}, column {col}: {err.value.message}"
+        assert not isinstance(err.value, ParseError)
 
 
 class TestFuzz:

@@ -2,13 +2,16 @@ import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anndiag
 from anndiag import TableKnot, base_diagram, parse
 from anndiag.cli import main
-from gen import AT_LIMIT
+from gen import AT_LIMIT, grammar_text
 
 FIVE_TWO_SHOW = (
     "annulusdiagram v1\n"
@@ -191,6 +194,20 @@ class TestValidate:
         status, _, err = run(capsys, "validate", str(path))
         assert status == 3
 
+    @pytest.mark.parametrize("body, error", [
+        ("nodes: u u\nedge: 0 5 h2\n",
+         "line 3, column 9: edge (0, 5) references a node outside 0..1"),
+        ("nodes:" + " u" * 17 + "\n",
+         "line 2, column 40: 17 nodes exceeds the bound of 16"),
+        ("nodes: u x\n",
+         "line 2, column 10: unknown node kind 'x' (expected s | h | u)"),
+    ], ids=["dangling", "too-many-nodes", "node-kind"])
+    def test_file_errors_are_positioned(self, body, error, capsys, tmp_path):
+        path = tmp_path / "bad.ad"
+        path.write_text("annulusdiagram v1\n" + body, encoding="ascii")
+        assert run(capsys, "validate", str(path)) == (
+            3, "", f"error: {path}: {error}\n")
+
     def test_show_pipes_into_validate(self, capsys, monkeypatch):
         _, shown, _ = run(capsys, "show", "5_2")
         monkeypatch.setattr("sys.stdin", io.StringIO(shown))
@@ -253,6 +270,53 @@ class TestUsage:
                      ["validate", str(bad)], ["compare", str(bad), "5_2"]):
             assert main(argv) == 3
             capsys.readouterr()
+
+
+def _few_nodes(text):
+    """At most 8 nodes, so the factorial key search cannot stall a run.
+
+    Lines are cut as the CLI reads them (universal newlines).  ``split``
+    cuts on every blank the parser does and more, so it never undercounts.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return all(len(line.split()) <= 9 for line in lines
+               if line.startswith("nodes:"))
+
+
+# Text near the document grammar, most of it past a header and two nodes.
+_TWO_NODES = "annulusdiagram v1\nnodes: u u"
+documents = st.builds(
+    str.__add__,
+    st.sampled_from(["", "annulusdiagram v1\n", _TWO_NODES, _TWO_NODES + "\n",
+                     _TWO_NODES + "\n", _TWO_NODES + "\nedge: "]),
+    grammar_text).filter(_few_nodes)
+
+
+class TestTotality:
+    """Every UTF-8 file ends in exit 0, 2 or 3, never a traceback, and stderr
+    holds nothing or one ``error:`` line."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("totality") / "doc.ad"
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=documents)
+    @pytest.mark.parametrize("argv", [["show", "{}"], ["validate", "{}"],
+                                      ["canon", "{}"], ["compare", "{}", "5_2"]],
+                             ids=["show", "validate", "canon", "compare"])
+    def test_exits_0_2_or_3(self, argv, path, text):
+        path.write_bytes(text.encode("utf-8"))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                status = main([arg.format(path) for arg in argv])
+            except SystemExit as stop:  # argparse
+                status = stop.code
+        assert status in (0, 2, 3)
+        lines = err.getvalue().splitlines(keepends=True)
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")
+                               and lines[0].endswith("\n"))
 
 
 def test_closed_pipe_is_quiet():

@@ -46,6 +46,16 @@ class TestConstruction:
         with pytest.raises(TooManyNodes):
             Diagram((U,) * 17, ())
 
+    def test_errors_outside_the_parser_print_the_bare_message(self):
+        with pytest.raises(DanglingEndpoint) as dangling:
+            Diagram((U, U), (Edge(0, 5, H2),))
+        with pytest.raises(TooManyNodes) as too_many:
+            Diagram((U,) * 17, ())
+        assert str(dangling.value) == (
+            "edge (0, 5) references a node outside 0..1")
+        assert str(too_many.value) == "17 nodes exceeds the bound of 16"
+        assert dangling.value.line is too_many.value.line is None
+
 
 class TestShape:
     def test_circle(self):
@@ -242,6 +252,19 @@ class TestValidation:
         result = validate_diagram(d)
         assert result.ok
         assert [w.where for w in result.warnings] == ["edge 0"]
+
+    @pytest.mark.parametrize("strictness", list(Strictness))
+    @given(lab=labels_strategy)
+    def test_g2_fires_exactly_off_finite_non_integral_k1(self, strictness,
+                                                          lab):
+        d = stick(lab)
+        if shape_of(d) is not ShapeClass.STICK:
+            return
+        fired = ViolationCode.STICK_MUST_BE_K1 in {
+            v.code for v in validate_diagram(d, strictness).violations}
+        assert fired is not (lab.kind.value == "k1"
+                             and not lab.slope.is_infinite
+                             and not lab.slope.is_integral)
 
     @given(labels_strategy)
     def test_g2_soundness(self, lab):

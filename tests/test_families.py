@@ -136,6 +136,13 @@ class TestCatalog:
 
 
 class TestDistinguish:
+    def test_is_decide_equivalence_with_its_default(self):
+        assert distinguish is decide_equivalence
+        d1 = family_diagram(Family.MOTTO, 0)
+        d2 = base_diagram(TableKnot.K6_1).diagram
+        assert decide_equivalence(d1, d2) is Verdict.INCONCLUSIVE
+        assert decide_equivalence(d1, d2, True) is Verdict.EQUIVALENT
+
     def test_motto_members(self):
         assert distinguish(family_diagram(Family.MOTTO, 1),
                            family_diagram(Family.MOTTO, 2)) is Verdict.INEQUIVALENT

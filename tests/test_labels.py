@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given
 
-from anndiag import (EM, H1, H2, ParseError, SeparationClass, Slope,
-                     SlopePair, Strictness, ViolationCode, ell, k1, k2,
-                     label_to_text, parse_label, separation_class,
-                     validate_label)
+from anndiag import (EM, H1, H2, AnnulusLabel, LabelKind, ParseError,
+                     SeparationClass, Slope, SlopePair, Strictness,
+                     ViolationCode, ell, k1, k2, label_to_text, parse_label,
+                     separation_class, validate_label)
 from gen import TOO_LONG, labels
+
+PAIR = SlopePair(Slope(1, 2), Slope(2, 1))
 
 
 def codes(result):
@@ -75,6 +77,18 @@ class TestConstruction:
     def test_payload_kind_consistency(self):
         with pytest.raises(ValueError):
             k1(None)
+
+    @pytest.mark.parametrize("kind, payload, message", [
+        (LabelKind.K1, {"pair": PAIR}, "k1 takes exactly a slope payload"),
+        (LabelKind.K2, {}, "k2 takes exactly a slope payload"),
+        (LabelKind.L, {"slope": Slope(1, 2)},
+         "l takes a slope pair, not a slope"),
+        (LabelKind.H1, {"slope": Slope(1, 2)}, "h1 takes no payload"),
+        (LabelKind.EM, {"pair": PAIR}, "em takes no payload"),
+    ], ids=["k1-pair", "k2-empty", "l-slope", "h1-slope", "em-pair"])
+    def test_payload_errors(self, kind, payload, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AnnulusLabel(kind, **payload)
 
     def test_structural_equality_on_normalized_payloads(self):
         assert k1(Slope(8, 6)) == k1(Slope(4, 3))

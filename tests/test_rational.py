@@ -104,6 +104,16 @@ class TestSlopePair:
         assert (pr.first, pr.second) == (Slope(1, 3), Slope(3, 1))
         assert str(pr) == "(1/3,3)"
 
+    @pytest.mark.parametrize("value, text", [
+        (Slope(4, 6), "Slope(2, 3)"),
+        (Slope(-5, 0), "Slope(1, 0)"),
+        (SlopePair(Slope(3, 1), Slope(1, 3)),
+         "SlopePair(Slope(1, 3), Slope(3, 1))"),
+    ])
+    def test_repr_rebuilds_the_value(self, value, text):
+        assert repr(value) == text
+        assert eval(text, {"Slope": Slope, "SlopePair": SlopePair}) == value
+
     def test_infinity_ordered_last(self):
         pr = SlopePair(Slope(1, 0), Slope(2, 1))
         assert pr.second.is_infinite
