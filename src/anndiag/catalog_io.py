@@ -50,7 +50,7 @@ class DiagramDocument:
     def __post_init__(self):
         for field in (self.name, self.note):
             if field is not None and (field == "" or field != field.strip()
-                                      or "\n" in field):
+                                      or "\n" in field or "\r" in field):
                 raise ValueError(
                     "metadata strings must be non-empty single lines without "
                     "surrounding whitespace")
@@ -142,7 +142,7 @@ def parse(text: str) -> DiagramDocument:
                 field, value = key[:-1], line[len(key) + 1:]
                 if field in meta:
                     raise ParseError(f"duplicate {field} line")
-                if not value or value != value.strip():
+                if not value or value != value.strip() or "\r" in value:
                     raise ParseError(f"malformed {field} value",
                                      col=len(key) + 2)
                 meta[field] = value

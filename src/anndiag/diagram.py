@@ -7,16 +7,17 @@ annulus, labeled by its annulus type.  Loops are allowed.  Diagrams are
 symbolic inputs: nothing here computes them from 3-manifold data.
 
 Equality of diagrams "up to isotopy" is realized as labeled-graph
-isomorphism, decided by comparing canonical forms (brute-force minima over
-node permutations), each computed once per ``Diagram`` and stored on it.
-Diagrams that arise have few nodes; the hard cap is :data:`MAX_NODES`.
+isomorphism, decided by comparing canonical forms (the least encoding over
+node orders, found by a search pruned by symmetry), each computed once per
+``Diagram`` and stored on it.  Diagrams that arise have few nodes; the hard
+cap is :data:`MAX_NODES`, and every diagram up to it gets a key.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 from typing import Iterable
 
 from .errors import DanglingEndpoint, TooManyNodes
@@ -36,8 +37,14 @@ __all__ = [
     "validate_diagram",
 ]
 
-# Caps Diagram size; canonical_form's exhaustive search does not reach it.
+# Caps Diagram size; canonical_form keys a 16-node worst case (a cycle, a
+# complete graph, a hypercube) in milliseconds.
 MAX_NODES = 16
+
+# Ends every list of label texts in the search.  It sorts after any text
+# (texts are ASCII letters, digits and punctuation), so a list that stops where
+# another goes on compares as the larger one, as its row of triples does.
+_END = "\x7f"
 
 
 class NodeKind(Enum):
@@ -108,33 +115,228 @@ def shape_of(d: Diagram) -> ShapeClass:
 def canonical_form(d: Diagram) -> bytes:
     """A byte string equal for isomorphic diagrams and unequal otherwise.
 
-    The node kinds in sorted order, ``|``, and the least ``;``-joined sorted
-    list of (min endpoint, max endpoint, label text) triples over the node
-    permutations that keep the kinds sorted; any other permutation starts
-    with a larger kind string of the same length.  UNKNOWN matches only
-    UNKNOWN.  Deterministic across runs and platforms.  All n! orders are
-    scanned and triples are built for the product of the kind-class sizes'
-    factorials, so the cost grows factorially with the node count.  The key
-    is stored on ``d``, not as a field, and reused: ``d`` is wholly frozen.
+    The node kinds in sorted order, ``|``, and the ``;``-joined ``a.b.label``
+    triples (``a <= b``) of the least sorted list of (a, b, label text)
+    triples over the node orders that keep the kinds sorted; any other
+    order starts with a larger kind string of the same length.  UNKNOWN
+    matches only UNKNOWN.  Deterministic across runs and platforms.  Triples
+    compare with their indices as numbers.  Up to 10 nodes that is the order
+    of their text, so those keys are the ones earlier versions stored
+    (indices are single digits and no label text is a proper prefix of
+    another); from 11 nodes on, ``9.10`` sorts before ``10.11``.
+
+    The least list is found by a depth-first search that fills each kind's
+    positions in increasing order, always settles the first triple not yet
+    known, and drops an order as soon as its triples sort above the best.
+    Let p be the lowest position whose row (the triples with first index p)
+    is not yet known:
+
+    (a) if p holds a node u, the first free position open to an unplaced
+        neighbour of u takes one of those neighbours with the least label
+        texts to u;
+    (b) if p is free, it takes a node of its kind whose row, as far as it
+        is known, starts least; the other candidates' rows are certainly
+        larger;
+    (c) of twins (their swap is an automorphism), and of nodes in one orbit
+        of the automorphisms that fix every placed node, found at leaves
+        equal to the best, one is tried (McKay and Piperno, Practical graph
+        isomorphism II, J. Symb. Comput. 60, 2014).
+
+    The key is stored on ``d``, not as a field, and reused: ``d`` is wholly
+    frozen.
     """
     try:
         return d._key
     except AttributeError:
         pass
-    kinds = "".join(k.value for k in d.nodes)
+    kinds = [k._value_ for k in d.nodes]  # .value is a slower property
     head = "".join(sorted(kinds))
-    ends = [(e.a, e.b, label_to_text(e.label)) for e in d.edges]
-    best = None
-    for perm in permutations(range(len(kinds))):
-        if "".join(map(head.__getitem__, perm)) != kinds:
+    n = len(kinds)
+    adj = [{} for _ in kinds]
+    for e in d.edges:
+        t = label_to_text(e.label)
+        insort(adj[e.a].setdefault(e.b, [_END]), t)
+        if e.a != e.b:
+            insort(adj[e.b].setdefault(e.a, [_END]), t)
+    res = [None, None, []]
+    _extend((kinds, adj, [-1] * n, [-1] * n,
+             {k: head.find(k) for k in head}, [], res), 0, 0, True)
+    body = ";".join([f"{a}.{b}.{t}" for a, b, texts in res[0]
+                     for t in texts[:-1]])
+    key = f"{head}|{body}".encode("ascii")
+    object.__setattr__(d, "_key", key)
+    return key
+
+
+def _extend(g, p, b, lt):
+    """Search the completions of the placed nodes from row ``p``, whose
+    triples with second index below ``b`` are out.
+
+    ``g`` holds the node kinds, each node's neighbours with their sorted
+    label texts, the node at each position, the position of each node, the
+    next free position of each kind, the triples out as one ``(a, b,
+    texts)`` entry per pair of positions, and ``res``: the least triples
+    found, their node order, and the automorphisms found.  ``lt``: the
+    triples out sort below the least ones' start."""
+    kinds, adj, at, pos, free, out, res = g
+    n = len(at)
+    while p < n:
+        u = at[p]
+        if u < 0:  # (b): a node of its kind for the lowest free position
+            cands = []
+            for v in range(n):
+                if pos[v] < 0 and free[kinds[v]] == p:
+                    cands.append(v)
+            if len(cands) > 1:
+                cands = _untwinned(adj, cands)
+                if len(cands) > 1:
+                    cands = _least_rows(g, p, cands)
+                    if len(cands) > 1:
+                        q = p
+                        break
+            u = cands[0]
+            at[p], pos[u], free[kinds[u]] = u, p, p + 1
+        # The triples of row p to placed nodes before the first position q
+        # open to a neighbour of u go out; then (a): a neighbour with the
+        # least texts to u takes position q.
+        q, known, unplaced = n, [], 0
+        for w, ts in adj[u].items():
+            c = pos[w]
+            if c >= b:
+                known.append((c, ts))
+            elif c < 0:
+                unplaced += 1
+                c = free[kinds[w]]
+                if c < q:
+                    q, texts, cands = c, ts, [w]
+                elif c == q:
+                    if ts < texts:
+                        texts, cands = ts, [w]
+                    elif ts == texts:
+                        cands.append(w)
+        if unplaced == 1:  # (a) is forced and completes the row
+            v = cands[0]
+            at[q], pos[v], free[kinds[v]] = v, q, q + 1
+            known.append((q, texts))
+            q = n
+        if known:
+            known.sort()
+            best = res[0]
+            for c, ts in known:
+                if c > q:
+                    break
+                triples = (p, c, ts)
+                if not lt:
+                    other = best[len(out)]
+                    if triples != other:
+                        if triples > other:
+                            return
+                        lt = True
+                out.append(triples)
+        if q == n:
+            p += 1
+            b = p
             continue
-        moved = ((perm[a], perm[b], text) for a, b, text in ends)
-        body = ";".join(sorted([f"{a}.{b}.{text}" if a <= b else
-                                f"{b}.{a}.{text}" for a, b, text in moved]))
-        if best is None or body < best:
-            best = body
-    object.__setattr__(d, "_key", f"{head}|{best}".encode("ascii"))
-    return d._key
+        if len(cands) > 1:
+            cands = _untwinned(adj, cands)
+            if len(cands) > 1:
+                break
+        v = cands[0]
+        at[q], pos[v], free[kinds[v]] = v, q, q + 1
+        b = q
+    else:
+        if lt:
+            res[0] = out[:]
+            res[1] = at[:]
+        else:  # equal to the best: the two orders differ by an automorphism
+            gamma = [0] * n
+            for i, v in enumerate(res[1]):
+                gamma[v] = at[i]
+            res[2].append(gamma)
+        return
+    # (c): one candidate per orbit of the automorphisms that fix the placed
+    # nodes; twins are gone already.
+    mark, best, tried = len(out), res[0], []
+    saved = at[:], pos[:], free.copy()
+    for v in cands:
+        if tried:
+            if res[2] and v in _orbit(res[2], at, tried):
+                continue
+            if res[0] is not best:  # found below this step, so equal so far
+                lt = False
+        tried.append(v)
+        at[q], pos[v], free[kinds[v]] = v, q, q + 1
+        _extend(g, p, q, lt)
+        del out[mark:]
+        at[:], pos[:] = saved[0], saved[1]
+        free.update(saved[2])
+
+
+def _untwinned(adj, cands):
+    """One candidate of each class of twins: nodes of one kind whose swap is
+    an automorphism, as their loops agree and so do their edges to every
+    other node."""
+    keep = []
+    for y in cands:
+        ay = adj[y]
+        for x in keep:
+            ax = adj[x]
+            if ax.get(x) == ay.get(y) and {**ax, x: 0, y: 0} == {**ay, x: 0, y: 0}:
+                break
+        else:
+            keep.append(y)
+    return keep
+
+
+def _orbit(autos, at, tried):
+    """Where the automorphisms found that fix every placed node take the
+    tried candidates."""
+    gens = [gamma for gamma in autos if all(gamma[v] == v for v in at if v >= 0)]
+    orbit, todo = set(tried), list(tried)
+    while todo:
+        v = todo.pop()
+        for gamma in gens:
+            if gamma[v] not in orbit:
+                orbit.add(gamma[v])
+                todo.append(gamma[v])
+    return orbit
+
+
+def _least_rows(g, p, cands):
+    """The candidates for free position ``p`` whose row of triples starts
+    least; every other candidate's row is certainly larger.
+
+    A row is known up to the least position ``m`` open to an unplaced
+    neighbour, and at ``m`` (a) puts a neighbour with the least texts; past
+    that its next triple is at ``m + 1`` or later, unless the row ends.  Two
+    such starts that differ differ where both are known, or where one row
+    ends and the other goes on.
+    """
+    kinds, adj, at, pos, free, out, res = g
+    n = len(at)
+    end = (n + 1,)
+    rows = []
+    for v in cands:
+        row, kv = adj[v], kinds[v]
+        m, least, known = n, None, []
+        for w, texts in row.items():
+            c = p if w == v else pos[w]
+            if c >= 0:
+                known.append((c, texts))
+            else:
+                c = p + 1 if kinds[w] == kv else free[kinds[w]]
+                if c < m:
+                    m, least = c, texts
+                elif c == m and texts < least:
+                    least = texts
+        known.sort()
+        sig = [entry for entry in known if entry[0] < m]
+        if least:
+            sig.append((m, least))
+        sig.append(end if len(sig) == len(row) else (m + 1,))
+        rows.append(sig)
+    low = min(rows)
+    return [v for v, sig in zip(cands, rows) if sig == low]
 
 
 def are_isomorphic(d1: Diagram, d2: Diagram) -> bool:

@@ -146,3 +146,46 @@ def diagrams(draw, max_nodes=4, max_edges=4, label_pool=None):
                      label_pool)
     edges = draw(st.lists(edge, max_size=max_edges))
     return Diagram(tuple(kind_vector), tuple(edges))
+
+
+@st.composite
+def shaped_diagrams(draw, min_nodes=0, max_nodes=7):
+    """Random diagrams and the symmetric shapes a key search must prune:
+    one-kind and alternating ``s``/``h`` cycles, some with evenly spaced
+    chords (circulant graphs), complete multigraphs, identical stars,
+    edgeless diagrams and two disjoint cycles.  One edge may carry another
+    label.  Each is relabeled at random."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    shape = draw(st.sampled_from(["random", "cycle", "alternating", "complete",
+                                  "stars", "edgeless", "two-cycles"]))
+    label = draw(labels)
+    kinds = [draw(st.sampled_from(list(NodeKind)))] * n
+    ends = []
+    if shape == "random":
+        kinds = draw(st.lists(st.sampled_from(list(NodeKind)),
+                              min_size=n, max_size=n))
+        if n:
+            node = st.integers(0, n - 1)
+            ends = draw(st.lists(st.tuples(node, node, labels), max_size=2 * n))
+    elif shape in ("cycle", "alternating"):
+        steps = {1} | draw(st.sets(st.integers(2, max(2, n // 2)), max_size=2))
+        ends = [(i, (i + s) % n, label) for i in range(n) for s in steps]
+        if shape == "alternating":
+            kinds = [(NodeKind.FIBERED, NodeKind.SIMPLE)[i % 2] for i in range(n)]
+    elif shape == "complete":
+        ends = draw(st.integers(1, 2)) * [
+            (a, b, label) for a in range(n) for b in range(a + 1, n)]
+    elif shape == "stars":  # stars of `size` nodes, the rest isolated
+        size = draw(st.integers(1, max(n, 1)))
+        ends = [(c, c + j, label) for c in range(0, n - size + 1, size)
+                for j in range(1, size)]
+    elif shape == "two-cycles":
+        half = n // 2
+        ends = ([(i, (i + 1) % half, label) for i in range(half)]
+                + [(half + i, half + (i + 1) % (n - half), label)
+                   for i in range(n - half)])
+    if ends and draw(st.booleans()):
+        i = draw(st.integers(0, len(ends) - 1))
+        ends[i] = ends[i][:2] + (draw(labels),)
+    d = Diagram(kinds, [Edge(a, b, lab) for a, b, lab in ends])
+    return permuted_copy(draw(st.randoms(use_true_random=False)), d)

@@ -37,9 +37,11 @@ class TestSerialize:
 
     def test_metadata_must_be_single_trimmed_lines(self):
         d = Diagram()
-        for bad in ("", " padded ", "two\nlines"):
+        for bad in ("", " padded ", "two\nlines", "two\rlines"):
             with pytest.raises(ValueError):
                 DiagramDocument(d, name=bad)
+            with pytest.raises(ValueError):
+                DiagramDocument(d, note=bad)
 
     def test_fields_are_the_diagram_and_its_metadata(self):
         # The format version lives in the header alone.
@@ -144,6 +146,18 @@ class TestParseErrors:
     def test_duplicate_metadata_rejected(self):
         with pytest.raises(ParseError):
             parse("annulusdiagram v1\nnodes: u\nname: x\nname: y\n")
+
+    # A line the CLI's universal-newline reading would split in two.
+    @pytest.mark.parametrize("line", ["name: a\rb", "note: a\rb", "name:  x"])
+    def test_malformed_metadata_value(self, line):
+        with pytest.raises(ParseError) as err:
+            parse(f"annulusdiagram v1\nnodes: u\n{line}\n")
+        assert (err.value.line, err.value.col) == (3, 7)
+        assert err.value.message == f"malformed {line[:4]} value"
+
+    def test_crlf_line_ends_are_stripped(self):
+        doc = parse("annulusdiagram v1\r\nnodes: u\r\nname: x\r\nnote: y z\r\n")
+        assert (doc.name, doc.note) == ("x", "y z")
 
     def test_unrecognized_line(self):
         with pytest.raises(ParseError) as err:

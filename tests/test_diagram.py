@@ -2,17 +2,20 @@ import copy
 import dataclasses
 import pickle
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anndiag import (EM, H1, H2, DanglingEndpoint, Diagram, Edge, Family,
                      NodeKind, ShapeClass, Slope, SlopePair, Strictness,
                      TooManyNodes, ViolationCode, are_isomorphic,
                      canonical_form, ell, family_diagram, k1, k2, shape_of,
                      validate_diagram)
-from gen import diagrams, enumerate_diagrams, permuted_copy, random_diagram
+from gen import (diagrams, enumerate_diagrams, permuted_copy, random_diagram,
+                 shaped_diagrams)
 from gen import labels as labels_strategy
 from oracle import brute_force_isomorphic, brute_force_key
 
@@ -135,8 +138,8 @@ class TestCanonicalForm:
     def test_deterministic_bytes(self, d, key):
         assert canonical_form(d) == key
 
-    @settings(max_examples=200)
-    @given(diagrams())
+    @settings(max_examples=200, deadline=None)
+    @given(shaped_diagrams(max_nodes=7))
     def test_matches_the_all_permutation_key(self, d):
         assert canonical_form(d) == brute_force_key(d)
 
@@ -144,6 +147,83 @@ class TestCanonicalForm:
         for d in enumerate_diagrams(max_nodes=2, max_edges=2,
                                     kinds=tuple(NodeKind)):
             assert canonical_form(d) == brute_force_key(d)
+
+
+def one_label(kinds, ends):
+    return Diagram(kinds, tuple(Edge(a, b, H2) for a, b in ends))
+
+
+def cycles(*sizes):
+    """Disjoint cycles of the given sizes, one node kind, one label."""
+    ends, start = [], 0
+    for size in sizes:
+        ends += [(start + i, start + (i + 1) % size) for i in range(size)]
+        start += size
+    return one_label((U,) * start, ends)
+
+
+# Q4: nodes are 4-bit words, joined when they differ in one bit.
+HYPERCUBE = one_label((U,) * 16, [(v, v ^ bit) for v in range(16)
+                                  for bit in (1, 2, 4, 8) if v < v ^ bit])
+# C4 x C4: node 4r + c is joined to the next node in its row and column.
+TORUS = one_label((U,) * 16, [(4 * r + c, 4 * r + (c + 1) % 4)
+                              for r in range(4) for c in range(4)]
+                  + [(4 * r + c, 4 * ((r + 1) % 4) + c)
+                     for r in range(4) for c in range(4)])
+COMPLETE = [(a, b) for a in range(16) for b in range(a + 1, 16)]
+
+# 16-node diagrams with automorphism groups of up to 16! elements.
+WORST_CASES = {
+    "cycle": cycles(16),
+    "alternating-cycle": one_label((S, H) * 8,
+                                   [(i, (i + 1) % 16) for i in range(16)]),
+    "edgeless": Diagram((U,) * 16),
+    "complete": one_label((U,) * 16, COMPLETE),
+    "doubled-complete": one_label((U,) * 16, COMPLETE * 2),
+    "identical-stars": one_label((U,) * 16, [(c, c + j) for c in (0, 4, 8, 12)
+                                            for j in (1, 2, 3)]),
+    "double-edges": one_label((U,) * 16, [(a, a + 1) for a in range(0, 16, 2)] * 2),
+    "4xC4": cycles(4, 4, 4, 4),
+    "Q4": HYPERCUBE,
+}
+
+
+class TestLargeDiagrams:
+    """9 to 16 nodes, where the all-permutation key is out of reach."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(shaped_diagrams(min_nodes=9, max_nodes=16), st.randoms())
+    def test_relabeling_keeps_the_key(self, d, rng):
+        assert canonical_form(permuted_copy(rng, d)) == canonical_form(d)
+
+    # Equal degree and label multisets, different cycle structure.
+    @pytest.mark.parametrize("d1, d2", [
+        (cycles(12), cycles(6, 6)),
+        (cycles(12), cycles(4, 4, 4)),
+        (cycles(12), cycles(3, 3, 3, 3)),
+        (cycles(16), cycles(8, 8)),
+    ], ids=["C12-2xC6", "C12-3xC4", "C12-4xC3", "C16-2xC8"])
+    def test_distinct_keys_for_non_isomorphic_pairs(self, d1, d2):
+        assert canonical_form(d1) != canonical_form(d2)
+        assert not are_isomorphic(d1, d2)
+
+    def test_indices_order_as_numbers_past_ten_nodes(self):
+        # String order would put 0.10 before 0.2 and make node 0 adjacent
+        # to node 10.
+        body = ";".join(f"{a}.{b}.h2" for a, b in
+                        [(0, 1), (0, 2)] + [(i, i + 2) for i in range(1, 9)]
+                        + [(9, 10)])
+        assert canonical_form(cycles(11)) == f"{'u' * 11}|{body}".encode()
+
+    def test_hypercube_and_torus_share_a_key(self):
+        assert canonical_form(HYPERCUBE) == canonical_form(TORUS)
+
+    @pytest.mark.parametrize("name", list(WORST_CASES))
+    def test_worst_cases_take_under_a_second(self, name):
+        d = permuted_copy(random.Random(name), WORST_CASES[name])
+        start = time.process_time()
+        canonical_form(d)
+        assert time.process_time() - start < 1.0
 
 
 class TestKeyCache:
