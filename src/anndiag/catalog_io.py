@@ -77,9 +77,8 @@ def _parse_nodes(line: str) -> list[NodeKind]:
                              col=token.start() + 1, expected=("s", "h", "u"))
         kinds.append(_NODE_KINDS[token[0]])
     if len(kinds) > MAX_NODES:
-        raise TooManyNodes(
-            f"{len(kinds)} nodes exceeds the bound of {MAX_NODES}",
-            col=tokens[MAX_NODES].start() + 1)
+        raise TooManyNodes.for_count(len(kinds), MAX_NODES,
+                                     col=tokens[MAX_NODES].start() + 1)
     return kinds
 
 
@@ -98,9 +97,8 @@ def _parse_edge(line: str, node_count: int) -> Edge:
     if pos != len(line):
         raise ParseError("trailing characters after label", col=pos + 1)
     if not (a < node_count and b < node_count):
-        raise DanglingEndpoint(
-            f"edge ({a}, {b}) references a node outside 0..{node_count - 1}",
-            col=(a_at if a >= node_count else b_at) + 1)
+        raise DanglingEndpoint.for_edge(
+            a, b, node_count, col=(a_at if a >= node_count else b_at) + 1)
     return Edge(a, b, label)
 
 

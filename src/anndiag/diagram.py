@@ -76,11 +76,10 @@ class Diagram:
         object.__setattr__(self, "edges", tuple(edges))
         n = len(self.nodes)
         if n > MAX_NODES:
-            raise TooManyNodes(f"{n} nodes exceeds the bound of {MAX_NODES}")
+            raise TooManyNodes.for_count(n, MAX_NODES)
         for e in self.edges:
             if not (0 <= e.a < n and 0 <= e.b < n):
-                raise DanglingEndpoint(
-                    f"edge ({e.a}, {e.b}) references a node outside 0..{n - 1}")
+                raise DanglingEndpoint.for_edge(e.a, e.b, n)
 
 
 class ShapeClass(Enum):
@@ -129,18 +128,18 @@ def canonical_form(d: Diagram) -> bytes:
     positions in increasing order, always settles the first triple not yet
     known, and drops an order as soon as its triples sort above the best.
     Let p be the lowest position whose row (the triples with first index p)
-    is not yet known:
+    is not yet known.  Rule (a) or (b) finds the candidates for a position q:
 
-    (a) if p holds a node u, the first free position open to an unplaced
-        neighbour of u takes one of those neighbours with the least label
-        texts to u;
-    (b) if p is free, it takes a node of its kind whose row, as far as it
-        is known, starts least; the other candidates' rows are certainly
-        larger;
-    (c) of twins (their swap is an automorphism), and of nodes in one orbit
-        of the automorphisms that fix every placed node, found at leaves
-        equal to the best, one is tried (McKay and Piperno, Practical graph
-        isomorphism II, J. Symb. Comput. 60, 2014).
+    (a) if p holds a node u, q is the first free position open to an
+        unplaced neighbour of u; candidates: those with the least texts to u;
+    (b) if p is free, q is p; candidates: the nodes of its kind.
+
+    One step then serves both.  Of twins (their swap is an automorphism) one
+    candidate stays, and for (b) only those whose row, as far as it is known,
+    starts least (the others' rows are certainly larger).  One left takes q;
+    of several, (c) one per orbit of the automorphisms that fix every placed
+    node, found at leaves equal to the best, is tried (McKay and Piperno,
+    Practical graph isomorphism II, J. Symb. Comput. 60, 2014).
 
     The key is stored on ``d``, not as a field, and reused: ``d`` is wholly
     frozen.
@@ -182,63 +181,58 @@ def _extend(g, p, b, lt):
     n = len(at)
     while p < n:
         u = at[p]
-        if u < 0:  # (b): a node of its kind for the lowest free position
-            cands = []
+        if u < 0:  # (b): the unplaced nodes of its kind may take p
+            q, cands = p, []
             for v in range(n):
                 if pos[v] < 0 and free[kinds[v]] == p:
                     cands.append(v)
-            if len(cands) > 1:
-                cands = _untwinned(adj, cands)
-                if len(cands) > 1:
-                    cands = _least_rows(g, p, cands)
-                    if len(cands) > 1:
-                        q = p
+        else:
+            # The triples of row p to placed nodes before the first position
+            # q open to a neighbour of u go out; then (a): the neighbours
+            # with the least texts to u may take q.
+            q, known, unplaced = n, [], 0
+            for w, ts in adj[u].items():
+                c = pos[w]
+                if c >= b:
+                    known.append((c, ts))
+                elif c < 0:
+                    unplaced += 1
+                    c = free[kinds[w]]
+                    if c < q:
+                        q, texts, cands = c, ts, [w]
+                    elif c == q:
+                        if ts < texts:
+                            texts, cands = ts, [w]
+                        elif ts == texts:
+                            cands.append(w)
+            if unplaced == 1:  # (a) is forced and completes the row
+                v = cands[0]
+                at[q], pos[v], free[kinds[v]] = v, q, q + 1
+                known.append((q, texts))
+                q = n
+            if known:
+                known.sort()
+                best = res[0]
+                for c, ts in known:
+                    if c > q:
                         break
-            u = cands[0]
-            at[p], pos[u], free[kinds[u]] = u, p, p + 1
-        # The triples of row p to placed nodes before the first position q
-        # open to a neighbour of u go out; then (a): a neighbour with the
-        # least texts to u takes position q.
-        q, known, unplaced = n, [], 0
-        for w, ts in adj[u].items():
-            c = pos[w]
-            if c >= b:
-                known.append((c, ts))
-            elif c < 0:
-                unplaced += 1
-                c = free[kinds[w]]
-                if c < q:
-                    q, texts, cands = c, ts, [w]
-                elif c == q:
-                    if ts < texts:
-                        texts, cands = ts, [w]
-                    elif ts == texts:
-                        cands.append(w)
-        if unplaced == 1:  # (a) is forced and completes the row
-            v = cands[0]
-            at[q], pos[v], free[kinds[v]] = v, q, q + 1
-            known.append((q, texts))
-            q = n
-        if known:
-            known.sort()
-            best = res[0]
-            for c, ts in known:
-                if c > q:
-                    break
-                triples = (p, c, ts)
-                if not lt:
-                    other = best[len(out)]
-                    if triples != other:
-                        if triples > other:
-                            return
-                        lt = True
-                out.append(triples)
-        if q == n:
-            p += 1
-            b = p
-            continue
+                    triples = (p, c, ts)
+                    if not lt:
+                        other = best[len(out)]
+                        if triples != other:
+                            if triples > other:
+                                return
+                            lt = True
+                    out.append(triples)
+            if q == n:
+                p += 1
+                b = p
+                continue
+        # The step of both rules: drop twins, keep (b)'s least rows, or (c).
         if len(cands) > 1:
             cands = _untwinned(adj, cands)
+            if len(cands) > 1 and q == p:
+                cands = _least_rows(g, p, cands)
             if len(cands) > 1:
                 break
         v = cands[0]

@@ -48,9 +48,20 @@ class DiagramError(ValueError):
 class DanglingEndpoint(DiagramError):
     """Raised when an edge references a node index that does not exist."""
 
+    @classmethod
+    def for_edge(cls, a: int, b: int, node_count: int,
+                 col: int = 1) -> DanglingEndpoint:
+        nodes = (f"a node outside 0..{node_count - 1}" if node_count
+                 else "a node, but the diagram has no nodes")
+        return cls(f"edge ({a}, {b}) references {nodes}", col=col)
+
 
 class TooManyNodes(DiagramError):
     """Raised when a diagram exceeds the node bound ``diagram.MAX_NODES``."""
+
+    @classmethod
+    def for_count(cls, count: int, bound: int, col: int = 1) -> TooManyNodes:
+        return cls(f"{count} nodes exceeds the bound of {bound}", col=col)
 
 
 class ParseError(ValueError):

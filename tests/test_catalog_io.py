@@ -205,7 +205,9 @@ class TestParseErrors:
         ("nodes: u u\n\nedge: 0 1 h2\nedge: 1  2 h2", 5, 10),
         ("nodes: " + " ".join(["u"] * 17), 2, 40),
         ("nodes: " + "\t".join(["s", "h"] * 10), 2, 40),
-    ], ids=["second-index", "first-index", "third-edge", "kinds", "tabs"])
+        ("nodes:\nedge: 0 0 h1", 3, 7),
+    ], ids=["second-index", "first-index", "third-edge", "kinds", "tabs",
+            "no-nodes"])
     def test_structural_error_positions(self, body, line, col):
         with pytest.raises(DiagramError) as err:
             parse(f"annulusdiagram v1\n{body}\n")

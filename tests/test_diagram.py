@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anndiag.diagram
 from anndiag import (EM, H1, H2, DanglingEndpoint, Diagram, Edge, Family,
                      NodeKind, ShapeClass, Slope, SlopePair, Strictness,
                      TooManyNodes, ViolationCode, are_isomorphic,
@@ -52,12 +53,17 @@ class TestConstruction:
     def test_errors_outside_the_parser_print_the_bare_message(self):
         with pytest.raises(DanglingEndpoint) as dangling:
             Diagram((U, U), (Edge(0, 5, H2),))
+        with pytest.raises(DanglingEndpoint) as no_nodes:
+            Diagram((), (Edge(0, 0, H1),))
         with pytest.raises(TooManyNodes) as too_many:
             Diagram((U,) * 17, ())
         assert str(dangling.value) == (
             "edge (0, 5) references a node outside 0..1")
+        assert str(no_nodes.value) == (
+            "edge (0, 0) references a node, but the diagram has no nodes")
         assert str(too_many.value) == "17 nodes exceeds the bound of 16"
         assert dangling.value.line is too_many.value.line is None
+        assert no_nodes.value.line is None
 
 
 class TestShape:
@@ -224,6 +230,25 @@ class TestLargeDiagrams:
         start = time.process_time()
         canonical_form(d)
         assert time.process_time() - start < 1.0
+
+    # The _extend calls of each case, relabeled as above; a search that more
+    # than doubles them has lost some of its pruning.
+    SEARCH_SIZE = {"cycle": 9, "alternating-cycle": 9, "edgeless": 1,
+                   "complete": 1, "doubled-complete": 1, "identical-stars": 14,
+                   "double-edges": 92, "4xC4": 32, "Q4": 528, "C4xC4": 615}
+
+    @pytest.mark.parametrize("name", [*WORST_CASES, "C4xC4"])
+    def test_search_size(self, name, monkeypatch):
+        extend, calls = anndiag.diagram._extend, []
+
+        def counting(*args):
+            calls.append(args)
+            return extend(*args)
+
+        monkeypatch.setattr("anndiag.diagram._extend", counting)
+        d = TORUS if name == "C4xC4" else WORST_CASES[name]
+        canonical_form(permuted_copy(random.Random(name), d))
+        assert len(calls) <= 2 * self.SEARCH_SIZE[name]
 
 
 class TestKeyCache:
