@@ -70,6 +70,7 @@ class Diagram:
 
     nodes: tuple[NodeKind, ...]
     edges: tuple[Edge, ...]
+    _key = None  # no annotation, so not a field; see canonical_form
 
     def __init__(self, nodes: Iterable[NodeKind] = (), edges: Iterable[Edge] = ()):
         object.__setattr__(self, "nodes", tuple(nodes))
@@ -141,13 +142,11 @@ def canonical_form(d: Diagram) -> bytes:
     node, found at leaves equal to the best, is tried (McKay and Piperno,
     Practical graph isomorphism II, J. Symb. Comput. 60, 2014).
 
-    The key is stored on ``d``, not as a field, and reused: ``d`` is wholly
-    frozen.
+    The key is ``None`` on the class; the first call stores it on ``d``, not
+    as a field, and later calls reuse it: ``d`` is wholly frozen.
     """
-    try:
+    if d._key is not None:
         return d._key
-    except AttributeError:
-        pass
     kinds = [k._value_ for k in d.nodes]  # .value is a slower property
     head = "".join(sorted(kinds))
     n = len(kinds)
@@ -189,14 +188,13 @@ def _extend(g, p, b, lt):
         else:
             # The triples of row p to placed nodes before the first position
             # q open to a neighbour of u go out; then (a): the neighbours
-            # with the least texts to u may take q.
-            q, known, unplaced = n, [], 0
+            # with the least texts to u may take q, or with none row p ends.
+            q, known = n, []
             for w, ts in adj[u].items():
                 c = pos[w]
                 if c >= b:
                     known.append((c, ts))
                 elif c < 0:
-                    unplaced += 1
                     c = free[kinds[w]]
                     if c < q:
                         q, texts, cands = c, ts, [w]
@@ -205,11 +203,6 @@ def _extend(g, p, b, lt):
                             texts, cands = ts, [w]
                         elif ts == texts:
                             cands.append(w)
-            if unplaced == 1:  # (a) is forced and completes the row
-                v = cands[0]
-                at[q], pos[v], free[kinds[v]] = v, q, q + 1
-                known.append((q, texts))
-                q = n
             if known:
                 known.sort()
                 best = res[0]
@@ -335,8 +328,6 @@ def _least_rows(g, p, cands):
 
 def are_isomorphic(d1: Diagram, d2: Diagram) -> bool:
     """True iff the diagrams agree up to relabeling of nodes."""
-    if len(d1.nodes) != len(d2.nodes) or len(d1.edges) != len(d2.edges):
-        return False
     return canonical_form(d1) == canonical_form(d2)
 
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
 import time
 from itertools import combinations
 
@@ -281,11 +282,38 @@ class TestKeyCache:
         assert twin == d
         assert canonical_form(twin) == key
 
-    # Same node and edge counts, different kinds: equal keys need equal kinds.
+    def test_fresh_keys_raise_no_attribute_error(self):
+        fresh = [Diagram((U,), (Edge(0, 0, H2),)),
+                 Diagram((U, U), (Edge(0, 1, k1(Slope(4, 3))),)),
+                 Diagram((U,) * 6, tuple(Edge(i, (i + 1) % 6, H2) for i in range(6))),
+                 Diagram((U,) * 16)]
+        raised = []
+
+        def trace(frame, event, arg):
+            if not frame.f_globals.get("__name__", "").startswith("anndiag"):
+                return None
+            if event == "exception" and issubclass(arg[0], AttributeError):
+                raised.append(frame.f_code.co_name)
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            for d in fresh:
+                canonical_form(d)
+        finally:
+            sys.settrace(previous)
+        assert raised == []
+
+    # The key alone tells apart diagrams whose kinds, node counts or edge
+    # counts differ: its head is the sorted kinds, and its body lists every edge.
     @pytest.mark.parametrize("d1, d2", [
         (Diagram((S, H)), Diagram((S, S))),
         (Diagram((H, U), (Edge(0, 1, H2),)), Diagram((S, U), (Edge(0, 1, H2),))),
-    ], ids=["edgeless", "one-h2"])
+        (Diagram((U,)), Diagram((U, U))),
+        (Diagram((U, U), (Edge(0, 1, H2),)),
+         Diagram((U, U), (Edge(0, 1, H2), Edge(0, 1, H2)))),
+    ], ids=["edgeless", "one-h2", "node-count", "edge-count"])
     def test_kinds_distinguish(self, d1, d2):
         assert not are_isomorphic(d1, d2)
         assert not are_isomorphic(d2, d1)

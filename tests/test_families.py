@@ -11,6 +11,7 @@ from anndiag import (H1, H2, CatalogEntry, Diagram, Edge,
                      e_family_crossing_number, family_diagram, k1,
                      label_to_text, leelee2_companion_torus_knot, pair_form,
                      shape_of, validate_diagram)
+from gen import AT_LIMIT
 
 U = NodeKind.UNKNOWN
 
@@ -193,6 +194,16 @@ class TestDistinguish:
                 if d1 is not d2:
                     assert distinguish(d1, d2) is Verdict.INEQUIVALENT
         assert len(calls) == sum(len(d.edges) for d in window) == 40
+
+    # A slope too long to print leaves a diagram with no key, whatever the
+    # size of the diagram it is compared with.
+    @pytest.mark.skipif(AT_LIMIT is None, reason="no int-string limit")
+    @pytest.mark.parametrize("family", [Family.LL2, Family.MOTTO],
+                             ids=["same-size", "other-size"])
+    def test_too_long_to_print_has_no_key(self, family):
+        d = family_diagram(Family.LL2, int(AT_LIMIT))
+        with pytest.raises(ValueError):
+            distinguish(d, family_diagram(family, 0))
 
 
 class TestDecideEquivalence:
