@@ -1,5 +1,6 @@
 """Command-line interface: catalog lookup, family tables, comparison,
-validation, canonical keys.
+validation, canonical keys.  ``main(argv)`` may be called repeatedly in
+process; it builds its argument parser once per process, on the first call.
 
 Targets may be a table-knot name (``4_1``, ``5_1``, ``5_2``, ``6_1``), a
 family reference ``family:n`` (families ``motto``, ``ll1``, ``ll1v``,
@@ -11,6 +12,7 @@ family reference ``family:n`` (families ``motto``, ``ll1``, ``ll1v``,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -123,8 +125,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    d1 = _resolve(args.a).diagram
-    d2 = _resolve(args.b).diagram
+    if args.a == args.b == "-":
+        raise _CliError(2, "stdin (-) can be read only once")
+    d1, d2 = _resolve(args.a).diagram, _resolve(args.b).diagram
     print(decide_equivalence(d1, d2, args.homeo).value)
     return 0
 
@@ -148,6 +151,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anndiag",

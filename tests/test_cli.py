@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import anndiag
 from anndiag import TableKnot, base_diagram, parse
-from anndiag.cli import main
+from anndiag.cli import _build_parser, main
 from gen import AT_LIMIT, grammar_text
 
 FIVE_TWO_SHOW = (
@@ -38,6 +38,10 @@ MOTTO_ONE_SHOW = (
     "name: motto:1\n"
     "note: shape=circle-stick\n"
 )
+
+# Valid in lenient mode; ``validate --strict`` flags the integral k2 slope.
+INTEGRAL_K2 = ("annulusdiagram v1\nnodes: u u u\nedge: 0 1 h2\n"
+               "edge: 1 2 k2(2)\n")
 
 
 def run(capsys, *argv):
@@ -153,6 +157,14 @@ class TestCompare:
         status, _, err = run(capsys, "compare", "4_1", "5_2")
         assert status == 2
         assert "no recorded diagram" in err
+
+    def test_stdin_twice_is_usage_error(self, capsys, monkeypatch):
+        _, shown, _ = run(capsys, "show", "5_2")
+        stdin = io.StringIO(shown)
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run(capsys, "compare", "-", "-") == (
+            2, "", "error: stdin (-) can be read only once\n")
+        assert stdin.tell() == 0  # rejected before reading
 
 
 class TestValidate:
@@ -280,6 +292,51 @@ class TestUsage:
             capsys.readouterr()
 
 
+class TestRepeatedCalls:
+    """One parser serves every in-process call; no call leaks into the next."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_flag_does_not_stick(self, capsys):
+        assert run(capsys, "compare", "--homeo", "6_1", "motto:0") == (
+            0, "equivalent\n", "")
+        assert run(capsys, "compare", "6_1", "motto:0") == (
+            0, "inconclusive\n", "")
+
+    def test_strict_does_not_stick(self, capsys, tmp_path):
+        path = tmp_path / "six.ad"
+        path.write_text(INTEGRAL_K2, encoding="ascii")
+        assert run(capsys, "validate", "--strict", str(path)) == (
+            3, "edge 1: NonIntegralRequired: k2 slope must be non-integral, "
+            "got 2\n", "")
+        assert run(capsys, "validate", str(path)) == (0, "ok\n", "")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["table", "motto", "x", "1"], 2), (["compare", "e:1"], 2),
+        (["--help"], 0), (["show", "--help"], 0)])
+    def test_call_after_exit_prints_golden(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == code
+        capsys.readouterr()
+        assert run(capsys, "show", "5_2") == (0, FIVE_TWO_SHOW, "")
+
+    def test_output_goes_to_the_streams_of_the_call(self):
+        first, second, help_out = io.StringIO(), io.StringIO(), io.StringIO()
+        _build_parser.cache_clear()  # the next call builds under `first`
+        with redirect_stdout(io.StringIO()), redirect_stderr(first):
+            assert main(["show", "5_2"]) == 0
+        with redirect_stderr(second), pytest.raises(SystemExit):
+            main(["table", "motto", "x", "1"])
+        with redirect_stdout(help_out), pytest.raises(SystemExit):
+            main(["--help"])
+        assert first.getvalue() == ""
+        assert second.getvalue().splitlines()[-1] == (
+            "anndiag table: error: argument FROM: invalid integer value: 'x'")
+        assert help_out.getvalue().startswith("usage: anndiag")
+
+
 # Text near the document grammar, most of it past a header and two nodes.
 _TWO_NODES = "annulusdiagram v1\nnodes: u u"
 documents = st.builds(
@@ -314,6 +371,64 @@ class TestTotality:
         lines = err.getvalue().splitlines(keepends=True)
         assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")
                                and lines[0].endswith("\n"))
+
+
+# argv lists near the command grammar; ``{file}`` stands for a valid file.
+_bounds = st.integers(-10, 10).map(str)
+_targets = st.just("{file}") | st.sampled_from([
+    "4_1", "5_1", "5_2", "6_1", "motto:0", "motto:-2", "ll1:0", "ll1v:3",
+    "ll2:1", "e:2", "motto:x", "ll2:", "e:1_0", "motto:٣", "bogus:1",
+    "/no/such/file.ad"])
+_tokens = st.one_of(
+    st.sampled_from(["show", "table", "compare", "validate", "canon",
+                     "frobnicate", "", "--homeo", "--strict", "-h",
+                     "--bogus", "motto", "ll1", "e", "x", "1_0", "٣"]),
+    _targets, _bounds)
+_flags = st.lists(st.sampled_from(["--homeo", "--strict", "-h", "--bogus"]),
+                  max_size=1)
+
+
+def _command(head, operands):
+    return st.tuples(st.just(head), _flags, operands)
+
+
+argvs = st.one_of(
+    *(_command([name], st.lists(_targets, min_size=k, max_size=k))
+      for name, k in (("show", 1), ("canon", 1), ("validate", 1),
+                      ("compare", 2))),
+    st.integers(-10, 10).flatmap(lambda frm: _command(["table"], st.tuples(
+        st.sampled_from(["motto", "ll1", "ll1v", "ll2", "e", "bogus"]),
+        st.just(str(frm)), st.integers(frm - 3, frm + 20).map(str)))),
+    _command([], st.lists(_tokens, max_size=5)),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+class TestArgvTotality:
+    """Every argv from the grammar ends in exit 0, 2 or 3; stderr holds
+    nothing, one ``error:`` line, or argparse's usage block and its error."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("argv") / "six.ad"
+        path.write_text(INTEGRAL_K2, encoding="ascii")
+        return path
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=argvs)
+    def test_exits_0_2_or_3(self, argv, path):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                status = main([arg.format(file=path) for arg in argv])
+            except SystemExit as stop:  # argparse: usage error or help
+                status = stop.code
+        assert status in (0, 2, 3)
+        lines = err.getvalue().splitlines()
+        assert (lines == []
+                or (len(lines) == 1 and lines[0].startswith("error: "))
+                or (lines[0].startswith("usage: anndiag")
+                    and lines[-1].startswith("anndiag")
+                    and ": error: " in lines[-1])), lines
 
 
 def test_closed_pipe_is_quiet():
