@@ -19,8 +19,8 @@ import sys
 from .catalog_io import DiagramDocument, parse, serialize
 from .diagram import Diagram, canonical_form, shape_of, validate_diagram
 from .errors import DiagramError, ParameterOutOfDomain, ParseError
-from .families import (Family, TableKnot, base_diagram, decide_equivalence,
-                       family_diagram)
+from .families import (CatalogEntry, Family, TableKnot, base_diagram,
+                       decide_equivalence, family_diagram)
 from .labels import Strictness, label_to_text
 from .rational import scan_digits
 
@@ -32,6 +32,14 @@ class _CliError(Exception):
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
+
+
+class _NoDiagram(_CliError):
+    """A table knot with no recorded diagram; ``show`` prints its entry."""
+
+    def __init__(self, entry: CatalogEntry):
+        super().__init__(2, f"{entry.name} has no recorded diagram")
+        self.entry = entry
 
 
 def _read_document(path: str) -> DiagramDocument:
@@ -54,7 +62,7 @@ def _resolve(target: str) -> DiagramDocument:
     if target in _KNOT_NAMES:
         entry = base_diagram(_KNOT_NAMES[target])
         if entry.diagram is None:
-            raise _CliError(2, f"{target} has no recorded diagram")
+            raise _NoDiagram(entry)
         return DiagramDocument(
             entry.diagram, name=entry.name,
             note=(f"shape={entry.shape.value}; exterior determines knot "
@@ -98,16 +106,14 @@ def _member(family: Family, n: int) -> tuple[Diagram, list[str]]:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    if args.target in _KNOT_NAMES:
-        entry = base_diagram(_KNOT_NAMES[args.target])
-        if entry.diagram is None:
-            print(f"{entry.name}: no diagram recorded")
-            print(f"shape: {entry.shape.value}")
-            print("exterior determines knot type: "
-                  f"{entry.exterior_determines.value}")
-            print(f"note: {entry.notes}")
-            return 0
-    print(serialize(_resolve(args.target)), end="")
+    try:
+        text = serialize(_resolve(args.target))
+    except _NoDiagram as err:
+        e = err.entry
+        text = (f"{e.name}: no diagram recorded\nshape: {e.shape.value}\n"
+                "exterior determines knot type: "
+                f"{e.exterior_determines.value}\nnote: {e.notes}\n")
+    sys.stdout.write(text)
     return 0
 
 
@@ -115,12 +121,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.frm > args.to:
         raise _CliError(2, f"empty range: {args.frm} > {args.to}")
     family = Family(args.family)
+    write = sys.stdout.write
     for n in range(args.frm, args.to + 1):
         try:
             d, labels = _member(family, n)
         except ParameterOutOfDomain:
             continue
-        print(f"{n}\t{','.join(labels)}\t{shape_of(d).value}")
+        write(f"{n}\t{','.join(labels)}\t{shape_of(d)._value_}\n")
     return 0
 
 

@@ -100,7 +100,7 @@ class ShapeClass(Enum):
 
 
 def shape_of(d: Diagram) -> ShapeClass:
-    kinds = sorted(e.label.kind.value for e in d.edges)
+    kinds = sorted([e.label.kind._value_ for e in d.edges])
     if kinds == ["h2"]:
         return ShapeClass.CIRCLE
     if kinds in (["h2", "k1"], ["h2", "k2"]):

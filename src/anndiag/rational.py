@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Slope:
     """A normalized extended rational p/q.
 
@@ -45,16 +45,15 @@ class Slope:
     p: int
     q: int
 
-    def __post_init__(self):
-        p, q = self.p, self.q
-        if p == 0 and q == 0:
-            raise ZeroOverZero("slope 0/0 is unrepresentable")
+    def __init__(self, p: int, q: int):
         if q == 0:
-            p, q = 1, 0
+            if p == 0:
+                raise ZeroOverZero("slope 0/0 is unrepresentable")
+            p = 1
         else:
             if q < 0:
                 p, q = -p, -q
-            g = gcd(abs(p), q)
+            g = gcd(p, q)
             p, q = p // g, q // g
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)

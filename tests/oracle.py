@@ -2,9 +2,10 @@
 
 These deliberately avoid the code paths they verify: isomorphism is decided
 by raw permutation search over node bijections, canonical keys by
-minimizing the encoding over every node permutation, and slope-pair forms
-are decided with fractions.Fraction arithmetic straight from the
-definitions (p/q, q/p) with pq != 0 and (p/q, pq) with q != 0.
+minimizing the encoding over every node permutation (label texts rendered
+here from each label's fields), and slope-pair forms are decided with
+fractions.Fraction arithmetic straight from the definitions (p/q, q/p)
+with pq != 0 and (p/q, pq) with q != 0.
 """
 
 from __future__ import annotations
@@ -37,19 +38,40 @@ def brute_force_isomorphic(d1, d2) -> bool:
     return False
 
 
+def _slope_text(s) -> str:
+    if s.q == 0:
+        return "inf"
+    return str(s.p) if s.q == 1 else f"{s.p}/{s.q}"
+
+
+def label_text(lab) -> str:
+    """A label in the ASCII grammar, from its fields alone."""
+    kind = lab.kind.value
+    if lab.slope is not None:
+        return f"{kind}({_slope_text(lab.slope)})"
+    if kind == "l":
+        if lab.pair is None:
+            return "l(?)"
+        first, second = lab.pair.first, lab.pair.second
+        return f"l({_slope_text(first)},{_slope_text(second)})"
+    return kind
+
+
 def brute_force_key(d) -> bytes:
     """The least encoding over all node permutations: the permuted kind
     vector, ``|``, and the ``;``-joined sorted (min endpoint, max endpoint,
-    label) triples.  No permutation is skipped."""
+    label) triples.  No permutation is skipped; each label is rendered once,
+    by :func:`label_text`."""
     n = len(d.nodes)
+    edges = [(e.a, e.b, label_text(e.label)) for e in d.edges]
     best = None
     for perm in permutations(range(n)):
         kinds = [None] * n
         for old, new in enumerate(perm):
             kinds[new] = d.nodes[old].value
         triples = sorted(
-            f"{min(perm[e.a], perm[e.b])}.{max(perm[e.a], perm[e.b])}.{e.label}"
-            for e in d.edges)
+            f"{min(perm[a], perm[b])}.{max(perm[a], perm[b])}.{t}"
+            for a, b, t in edges)
         enc = ("".join(kinds) + "|" + ";".join(triples)).encode("ascii")
         if best is None or enc < best:
             best = enc

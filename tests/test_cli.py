@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +136,40 @@ class TestTable:
         with pytest.raises(SystemExit) as err:
             main(["table", "bogus", "0", "1"])
         assert err.value.code == 2
+
+
+def _fraction_text(f):
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def _expected_row(family, n):
+    """A table row from the family's slope formula, or None out of domain."""
+    if family == "motto":  # 2 under (1, 0, -n, 1)
+        slope = Fraction(2, 1 - 2 * n)
+        return f"{n}\th2,k2({_fraction_text(slope)})\tcircle-stick"
+    if family == "ll2":  # 4/3 under (1, 4n, 0, 1)
+        return f"{n}\tk1({_fraction_text(Fraction(4, 3) + 4 * n)})\tstick"
+    if n in (0, -1):  # ll1v: n/(n+1) undefined or integral
+        return None
+    # The pair prints its member with the larger denominator first.
+    pair = sorted((Fraction(n, n + 1), Fraction(n + 1, n)),
+                  key=lambda f: (-f.denominator, -f.numerator))
+    return f"{n}\tl({','.join(map(_fraction_text, pair))})\tother"
+
+
+class TestLargeTable:
+    @pytest.mark.parametrize("family, frm, to", [
+        ("motto", -1234, 1265), ("ll2", -600, 600), ("ll1v", -300, 300)])
+    def test_rows_match_the_slope_formulas(self, family, frm, to, capsys):
+        status, out, err = run(capsys, "table", family, str(frm), str(to))
+        assert (status, err) == (0, "")
+        lines = out.splitlines(keepends=True)
+        assert all(line.endswith("\n") for line in lines)
+        want = [_expected_row(family, n) for n in range(frm, to + 1)]
+        assert [line[:-1] for line in lines] == [
+            w for w in want if w is not None]
 
 
 class TestCompare:

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -41,6 +43,47 @@ class TestSlopeNormalization:
             return
         assert Slope(k * p, k * q) == Slope(p, q)
 
+
+class TestOneStepNormalization:
+    @given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
+    def test_agrees_with_fraction(self, p, q):
+        if p == 0 and q == 0:
+            return
+        s = Slope(p, q)
+        if q == 0:
+            assert (s.p, s.q) == (1, 0)
+        else:
+            f = Fraction(p, q)
+            assert (s.p, s.q) == (f.numerator, f.denominator)
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(Slope)] == ["p", "q"]
+
+    def test_keyword_construction(self):
+        s = Slope(q=-6, p=4)
+        assert (s.p, s.q) == (-2, 3)
+        assert Slope(p=-3, q=0) == Slope(1, 0)
+        with pytest.raises(ZeroOverZero):
+            Slope(p=0, q=0)
+
+    @pytest.mark.parametrize("change, pq", [
+        ({"q": -4}, (-1, 4)), ({"p": 6, "q": 4}, (3, 2)),
+        ({"p": 0, "q": -5}, (0, 1)), ({"q": 0}, (1, 0))])
+    def test_replace_normalizes(self, change, pq):
+        s = dataclasses.replace(Slope(1, 2), **change)
+        assert (s.p, s.q) == pq
+
+    def test_replace_to_zero_over_zero_raises(self):
+        with pytest.raises(ZeroOverZero):
+            dataclasses.replace(Slope(0, 1), q=0)
+
+    @pytest.mark.parametrize("p, q, pq", [
+        (4, -6, (-2, 3)), (-7, 0, (1, 0)), (0, -9, (0, 1)), (12, 3, (4, 1))])
+    def test_pickle_round_trip(self, p, q, pq):
+        s = Slope(p, q)
+        twin = pickle.loads(pickle.dumps(s))
+        assert (twin.p, twin.q) == pq
+        assert twin == s and hash(twin) == hash(s)
 
 class TestPredicates:
     def test_integrality(self):
