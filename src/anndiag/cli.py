@@ -19,8 +19,8 @@ import sys
 from .catalog_io import DiagramDocument, parse, serialize
 from .diagram import Diagram, canonical_form, shape_of, validate_diagram
 from .errors import DiagramError, ParameterOutOfDomain, ParseError
-from .families import (CatalogEntry, Family, TableKnot, base_diagram,
-                       decide_equivalence, family_diagram)
+from .families import (Family, TableKnot, base_diagram, decide_equivalence,
+                       family_diagram)
 from .labels import Strictness, label_to_text
 from .rational import scan_digits
 
@@ -32,14 +32,6 @@ class _CliError(Exception):
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
-
-
-class _NoDiagram(_CliError):
-    """A table knot with no recorded diagram; ``show`` prints its entry."""
-
-    def __init__(self, entry: CatalogEntry):
-        super().__init__(2, f"{entry.name} has no recorded diagram")
-        self.entry = entry
 
 
 def _read_document(path: str) -> DiagramDocument:
@@ -62,7 +54,7 @@ def _resolve(target: str) -> DiagramDocument:
     if target in _KNOT_NAMES:
         entry = base_diagram(_KNOT_NAMES[target])
         if entry.diagram is None:
-            raise _NoDiagram(entry)
+            raise _CliError(2, f"{target} has no recorded diagram")
         return DiagramDocument(
             entry.diagram, name=entry.name,
             note=(f"shape={entry.shape.value}; exterior determines knot "
@@ -106,14 +98,16 @@ def _member(family: Family, n: int) -> tuple[Diagram, list[str]]:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    try:
-        text = serialize(_resolve(args.target))
-    except _NoDiagram as err:
-        e = err.entry
-        text = (f"{e.name}: no diagram recorded\nshape: {e.shape.value}\n"
-                "exterior determines knot type: "
-                f"{e.exterior_determines.value}\nnote: {e.notes}\n")
-    sys.stdout.write(text)
+    if args.target in _KNOT_NAMES:
+        entry = base_diagram(_KNOT_NAMES[args.target])
+        if entry.diagram is None:
+            print(f"{entry.name}: no diagram recorded")
+            print(f"shape: {entry.shape.value}")
+            print("exterior determines knot type: "
+                  f"{entry.exterior_determines.value}")
+            print(f"note: {entry.notes}")
+            return 0
+    print(serialize(_resolve(args.target)), end="")
     return 0
 
 

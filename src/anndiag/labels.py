@@ -68,7 +68,6 @@ class AnnulusLabel:
     kind: LabelKind
     slope: Slope | None = None
     pair: SlopePair | None = None
-    _text = None  # no annotation, so not a field; see label_to_text
 
     def __post_init__(self):
         if self.kind in (LabelKind.K1, LabelKind.K2):
@@ -201,21 +200,13 @@ def validate_label(lab: AnnulusLabel,
 
 
 def label_to_text(lab: AnnulusLabel) -> str:
-    """Render a label in the ASCII grammar with normalized payloads.
-
-    The text is ``None`` on the class; the first call stores it on ``lab``,
-    not as a field, and later calls reuse it: ``lab`` is wholly frozen.  A
-    slope past the int-string limit raises ValueError and stores nothing.
-    """
-    text = lab._text
-    if text is None:
-        text = lab.kind._value_  # .value is a slower property
-        if lab.slope is not None:
-            text = f"{text}({lab.slope})"
-        elif lab.kind is LabelKind.L:
-            text = "l(?)" if lab.pair is None else f"l{lab.pair}"
-        object.__setattr__(lab, "_text", text)
-    return text
+    """Render a label in the ASCII grammar with normalized payloads."""
+    kind = lab.kind._value_  # .value is a slower property
+    if lab.slope is not None:  # k1 and k2 alone carry a slope
+        return f"{kind}({lab.slope})"
+    if lab.kind is LabelKind.L:
+        return "l(?)" if lab.pair is None else f"l{lab.pair}"
+    return kind
 
 
 _TAGS = ("h1", "h2", "em", "k1", "k2", "l")

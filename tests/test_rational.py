@@ -85,6 +85,7 @@ class TestOneStepNormalization:
         assert (twin.p, twin.q) == pq
         assert twin == s and hash(twin) == hash(s)
 
+
 class TestPredicates:
     def test_integrality(self):
         assert not Slope(4, 3).is_integral
