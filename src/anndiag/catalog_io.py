@@ -59,7 +59,8 @@ class DiagramDocument:
 def serialize(doc: DiagramDocument) -> str:
     """Emit the document; byte-deterministic for equal inputs."""
     d = doc.diagram
-    lines = [_HEADER, " ".join(["nodes:"] + [k.value for k in d.nodes])]
+    # k._value_, since .value is a slower property
+    lines = [_HEADER, " ".join(["nodes:"] + [k._value_ for k in d.nodes])]
     lines.extend(f"edge: {e.a} {e.b} {label_to_text(e.label)}" for e in d.edges)
     if doc.name is not None:
         lines.append(f"name: {doc.name}")

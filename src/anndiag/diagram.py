@@ -73,14 +73,15 @@ class Diagram:
     _key = None  # no annotation, so not a field; see canonical_form
 
     def __init__(self, nodes: Iterable[NodeKind] = (), edges: Iterable[Edge] = ()):
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "edges", tuple(edges))
-        n = len(self.nodes)
+        nodes, edges = tuple(nodes), tuple(edges)
+        n = len(nodes)
         if n > MAX_NODES:
             raise TooManyNodes.for_count(n, MAX_NODES)
-        for e in self.edges:
+        for e in edges:
             if not (0 <= e.a < n and 0 <= e.b < n):
                 raise DanglingEndpoint.for_edge(e.a, e.b, n)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
 
 
 class ShapeClass(Enum):
@@ -99,17 +100,29 @@ class ShapeClass(Enum):
     OTHER = "other"
 
 
+# A member read such as ShapeClass.STICK goes through EnumType.__getattr__ on
+# Python 3.10 and 3.11 (~0.1 us, ten times a global read), so the per-call
+# code of this module reads these aliases, bound once at import.
+_STICK, _OTHER = ShapeClass.STICK, ShapeClass.OTHER
+_EM, _K1 = LabelKind.EM, LabelKind.K1
+_NON_SEPARATING = SeparationClass.NON_SEPARATING
+# The label-multiset shapes, keyed by the sorted label kinds.
+_SHAPE_BY_KINDS = {
+    ("h2",): ShapeClass.CIRCLE,
+    ("h2", "k1"): ShapeClass.CIRCLE_STICK,
+    ("h2", "k2"): ShapeClass.CIRCLE_STICK,
+    ("h2", "h2", "l"): ShapeClass.THETA,
+}
+
+
 def shape_of(d: Diagram) -> ShapeClass:
-    kinds = sorted([e.label.kind._value_ for e in d.edges])
-    if kinds == ["h2"]:
-        return ShapeClass.CIRCLE
-    if kinds in (["h2", "k1"], ["h2", "k2"]):
-        return ShapeClass.CIRCLE_STICK
-    if kinds == ["h2", "h2", "l"]:
-        return ShapeClass.THETA
+    kinds = tuple(sorted([e.label.kind._value_ for e in d.edges]))
+    shape = _SHAPE_BY_KINDS.get(kinds)
+    if shape is not None:
+        return shape
     if len(d.nodes) == 2 and len(d.edges) == 1 and d.edges[0].a != d.edges[0].b:
-        return ShapeClass.STICK
-    return ShapeClass.OTHER
+        return _STICK
+    return _OTHER
 
 
 def canonical_form(d: Diagram) -> bytes:
@@ -347,18 +360,18 @@ def validate_diagram(d: Diagram,
         violations.extend(result.violations)
         warnings.extend(result.warnings)
 
-    em_edges = [i for i, e in enumerate(d.edges) if e.label.kind is LabelKind.EM]
+    em_edges = [i for i, e in enumerate(d.edges) if e.label.kind is _EM]
     non_sep = [i for i, e in enumerate(d.edges)
-               if separation_class(e.label) is SeparationClass.NON_SEPARATING]
+               if separation_class(e.label) is _NON_SEPARATING]
     if em_edges and non_sep:
         violations.append(Violation(
             ViolationCode.EM_WITH_NON_SEPARATING, "diagram",
             f"em edge {em_edges[0]} cannot coexist with non-separating "
             f"edge(s) {', '.join(str(i) for i in non_sep)}"))
 
-    if shape_of(d) is ShapeClass.STICK:
+    if shape_of(d) is _STICK:
         lab = d.edges[0].label
-        if lab.kind is not LabelKind.K1 or not validate_label(lab).ok:
+        if lab.kind is not _K1 or not validate_label(lab).ok:
             violations.append(Violation(
                 ViolationCode.STICK_MUST_BE_K1, "diagram",
                 f"stick diagram must carry k1 with a non-integral slope, "

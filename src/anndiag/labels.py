@@ -57,7 +57,15 @@ class LabelKind(Enum):
     EM = "em"
 
 
-@dataclass(frozen=True)
+# A member read such as LabelKind.K1 goes through EnumType.__getattr__ on
+# Python 3.10 and 3.11 (~0.1 us, ten times a global read), so the per-call
+# code of this module reads these aliases, bound once after each enum.
+_K1, _K2, _L, _EM = LabelKind.K1, LabelKind.K2, LabelKind.L, LabelKind.EM
+_KINDS = {k._value_: k for k in LabelKind}
+_INVALID_FORM = FormClass.INVALID
+
+
+@dataclass(frozen=True, init=False)
 class AnnulusLabel:
     """One edge label: a kind plus its payload, if the kind carries one.
 
@@ -69,15 +77,19 @@ class AnnulusLabel:
     slope: Slope | None = None
     pair: SlopePair | None = None
 
-    def __post_init__(self):
-        if self.kind in (LabelKind.K1, LabelKind.K2):
-            if self.slope is None or self.pair is not None:
-                raise ValueError(f"{self.kind.value} takes exactly a slope payload")
-        elif self.kind is LabelKind.L:
-            if self.slope is not None:
+    def __init__(self, kind: LabelKind, slope: Slope | None = None,
+                 pair: SlopePair | None = None):
+        if kind is _K1 or kind is _K2:
+            if slope is None or pair is not None:
+                raise ValueError(f"{kind._value_} takes exactly a slope payload")
+        elif kind is _L:
+            if slope is not None:
                 raise ValueError("l takes a slope pair, not a slope")
-        elif self.slope is not None or self.pair is not None:
-            raise ValueError(f"{self.kind.value} takes no payload")
+        elif slope is not None or pair is not None:
+            raise ValueError(f"{kind._value_} takes no payload")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "pair", pair)
 
     def __str__(self) -> str:
         return label_to_text(self)
@@ -92,21 +104,26 @@ EM = AnnulusLabel(LabelKind.EM)
 
 
 def k1(slope: Slope) -> AnnulusLabel:
-    return AnnulusLabel(LabelKind.K1, slope=slope)
+    return AnnulusLabel(_K1, slope)
 
 
 def k2(slope: Slope) -> AnnulusLabel:
-    return AnnulusLabel(LabelKind.K2, slope=slope)
+    return AnnulusLabel(_K2, slope)
 
 
 def ell(pair: SlopePair | None = None) -> AnnulusLabel:
-    return AnnulusLabel(LabelKind.L, pair=pair)
+    return AnnulusLabel(_L, None, pair)
 
 
 class SeparationClass(Enum):
     SEPARATING = "separating"
     NON_SEPARATING = "non-separating"
     UNKNOWN = "unknown"
+
+
+_SEPARATING = SeparationClass.SEPARATING
+_NON_SEPARATING = SeparationClass.NON_SEPARATING
+_UNKNOWN = SeparationClass.UNKNOWN
 
 
 def separation_class(lab: AnnulusLabel) -> SeparationClass:
@@ -116,16 +133,20 @@ def separation_class(lab: AnnulusLabel) -> SeparationClass:
     edge); em and the k types cut off a solid torus, hence separate.  The
     Hopf types are left UNKNOWN rather than guessed.
     """
-    if lab.kind is LabelKind.L:
-        return SeparationClass.NON_SEPARATING
-    if lab.kind in (LabelKind.K1, LabelKind.K2, LabelKind.EM):
-        return SeparationClass.SEPARATING
-    return SeparationClass.UNKNOWN
+    kind = lab.kind
+    if kind is _L:
+        return _NON_SEPARATING
+    if kind is _K1 or kind is _K2 or kind is _EM:
+        return _SEPARATING
+    return _UNKNOWN
 
 
 class Strictness(Enum):
     STRICT = "strict"
     LENIENT = "lenient"
+
+
+_STRICT = Strictness.STRICT
 
 
 class ViolationCode(Enum):
@@ -172,18 +193,18 @@ def validate_label(lab: AnnulusLabel,
     """
     violations: list[Violation] = []
     warnings: list[Violation] = []
-    if lab.kind in (LabelKind.K1, LabelKind.K2):
+    kind = lab.kind
+    if kind is _K1 or kind is _K2:
         s = lab.slope
         if s.is_infinite:
             violations.append(Violation(
                 ViolationCode.FINITE_SLOPE_REQUIRED, where,
-                f"{lab.kind.value} slope must be finite, got inf"))
-        elif s.is_integral and (lab.kind is LabelKind.K1
-                                or strictness is Strictness.STRICT):
+                f"{kind._value_} slope must be finite, got inf"))
+        elif s.is_integral and (kind is _K1 or strictness is _STRICT):
             violations.append(Violation(
                 ViolationCode.NON_INTEGRAL_REQUIRED, where,
-                f"{lab.kind.value} slope must be non-integral, got {s}"))
-    elif lab.kind is LabelKind.L:
+                f"{kind._value_} slope must be non-integral, got {s}"))
+    elif kind is _L:
         if lab.pair is None:
             warnings.append(Violation(
                 ViolationCode.MISSING_SLOPE_PAIR, where,
@@ -192,7 +213,7 @@ def validate_label(lab: AnnulusLabel,
             violations.append(Violation(
                 ViolationCode.FINITE_SLOPE_REQUIRED, where,
                 f"l slope pair must be finite, got {lab.pair}"))
-        elif pair_form(lab.pair) is FormClass.INVALID:
+        elif pair_form(lab.pair) is _INVALID_FORM:
             violations.append(Violation(
                 ViolationCode.SLOPE_PAIR_FORM_INVALID, where,
                 f"{lab.pair} matches neither (p/q,q/p) nor (p/q,pq)"))
@@ -204,7 +225,7 @@ def label_to_text(lab: AnnulusLabel) -> str:
     kind = lab.kind._value_  # .value is a slower property
     if lab.slope is not None:  # k1 and k2 alone carry a slope
         return f"{kind}({lab.slope})"
-    if lab.kind is LabelKind.L:
+    if lab.kind is _L:
         return "l(?)" if lab.pair is None else f"l{lab.pair}"
     return kind
 
@@ -220,11 +241,12 @@ def scan_label(text: str, pos: int = 0) -> tuple[AnnulusLabel, int]:
     while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
         pos += 1
     tag = text[start:pos]
-    if tag not in _TAGS:
+    kind = _KINDS.get(tag)
+    if kind is None:
         raise ParseError(f"unknown label type {tag!r}" if tag else "expected a label",
                          col=start + 1, expected=_TAGS)
     if tag in ("h1", "h2", "em"):
-        return AnnulusLabel(LabelKind(tag)), pos
+        return AnnulusLabel(kind), pos
     paren = pos
     pos = skip_ws(text, expect_char(text, pos, "("))
     if tag == "l":
@@ -233,7 +255,7 @@ def scan_label(text: str, pos: int = 0) -> tuple[AnnulusLabel, int]:
         pair, pos = scan_slope_pair(text, paren)
         return ell(pair), pos
     s, pos = scan_slope(text, pos)
-    return AnnulusLabel(LabelKind(tag), slope=s), expect_char(text, pos, ")")
+    return AnnulusLabel(kind, s), expect_char(text, pos, ")")
 
 
 def parse_label(text: str) -> AnnulusLabel:

@@ -130,6 +130,12 @@ class FormClass(Enum):
     INVALID = "invalid"
 
 
+# A member read such as FormClass.BOTH goes through EnumType.__getattr__ on
+# Python 3.10 and 3.11 (~0.1 us); pair_form reads these aliases instead.
+_RECIPROCAL, _PRODUCT = FormClass.RECIPROCAL, FormClass.PRODUCT
+_BOTH, _INVALID = FormClass.BOTH, FormClass.INVALID
+
+
 def apply_unimodular(s: Slope, a: int, b: int, c: int, d: int) -> Slope:
     """Transform p/q to (a*p + b*q)/(c*p + d*q) for a unimodular matrix.
 
@@ -163,12 +169,12 @@ def pair_form(pr: SlopePair) -> FormClass:
     reciprocal = _is_reciprocal(a, b)
     product = _is_product(a, b) or _is_product(b, a)
     if reciprocal and product:
-        return FormClass.BOTH
+        return _BOTH
     if reciprocal:
-        return FormClass.RECIPROCAL
+        return _RECIPROCAL
     if product:
-        return FormClass.PRODUCT
-    return FormClass.INVALID
+        return _PRODUCT
+    return _INVALID
 
 
 # Text syntax, and the scanning primitives every parser in the package uses.

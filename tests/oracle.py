@@ -3,9 +3,10 @@
 These deliberately avoid the code paths they verify: isomorphism is decided
 by raw permutation search over node bijections, canonical keys by
 minimizing the encoding over every node permutation (label texts rendered
-here from each label's fields), and slope-pair forms are decided with
-fractions.Fraction arithmetic straight from the definitions (p/q, q/p)
-with pq != 0 and (p/q, pq) with q != 0.
+here from each label's fields), diagram shapes by counting label kinds
+against the rules of the ``ShapeClass`` docstring, and slope-pair forms are
+decided with fractions.Fraction arithmetic straight from the definitions
+(p/q, q/p) with pq != 0 and (p/q, pq) with q != 0.
 """
 
 from __future__ import annotations
@@ -36,6 +37,22 @@ def brute_force_isomorphic(d1, d2) -> bool:
         if mapped == target:
             return True
     return False
+
+
+def shape(d) -> str:
+    """The shape class's value by the rules of the ``ShapeClass``
+    docstring, from a count of each label kind's text."""
+    kinds = Counter(e.label.kind.value for e in d.edges)
+    if kinds == Counter(["h2"]):
+        return "circle"
+    if kinds in (Counter(["h2", "k1"]), Counter(["h2", "k2"])):
+        return "circle-stick"
+    if kinds == Counter(["l", "h2", "h2"]):
+        return "theta"
+    if (len(d.nodes) == 2 and len(d.edges) == 1
+            and d.edges[0].a != d.edges[0].b):
+        return "stick"
+    return "other"
 
 
 def _slope_text(s) -> str:

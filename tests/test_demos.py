@@ -1,6 +1,7 @@
-"""The demos run to the end: each is a script that calls the public API
+"""The demos run to the end and print the bytes they printed when their
+output was recorded: each is a script that calls the public API
 (``distinguish``, ``decide_equivalence``, ``canonical_form``) the way a
-reader of the README would."""
+reader of the README would, and ``golden/<demo>.stdout`` holds its output."""
 
 import os
 import subprocess
@@ -18,4 +19,5 @@ def test_demo_runs_cleanly(script):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)],
                           capture_output=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout
+    golden = ROOT / "tests" / "golden" / f"{Path(script).stem}.stdout"
+    assert proc.stdout == golden.read_bytes()

@@ -20,6 +20,7 @@ from gen import (diagrams, enumerate_diagrams, permuted_copy, random_diagram,
                  shaped_diagrams)
 from gen import labels as labels_strategy
 from oracle import brute_force_isomorphic, brute_force_key
+from oracle import shape as oracle_shape
 
 S, H, U = NodeKind.FIBERED, NodeKind.SIMPLE, NodeKind.UNKNOWN
 PAIR = SlopePair(Slope(1, 2), Slope(2, 1))
@@ -45,6 +46,14 @@ class TestConstruction:
     def test_edges_require_nodes(self):
         with pytest.raises(DanglingEndpoint):
             Diagram((), (Edge(0, 0, H1),))
+
+    def test_a_rejected_edge_sets_no_field(self):
+        d = Diagram((U,))
+        with pytest.raises(DanglingEndpoint):
+            Diagram.__init__(d, (U, U), (Edge(0, 2, H1),))
+        with pytest.raises(TooManyNodes):
+            Diagram.__init__(d, (U,) * 17)
+        assert (d.nodes, d.edges) == ((U,), ())
 
     def test_node_bound(self):
         Diagram((U,) * 16, ())
@@ -96,6 +105,18 @@ class TestShape:
         assert shape_of(Diagram()) is ShapeClass.OTHER
         two_h2 = Diagram((U, U), (Edge(0, 1, H2), Edge(0, 1, H2)))
         assert shape_of(two_h2) is ShapeClass.OTHER
+
+    @given(diagrams())
+    def test_matches_the_docstring_rules(self, d):
+        assert shape_of(d).value == oracle_shape(d)
+
+    def test_matches_the_docstring_rules_on_small_universe(self):
+        seen = set()
+        for d in enumerate_diagrams(2, 3, kinds=(U,)):
+            want = oracle_shape(d)
+            seen.add(want)
+            assert shape_of(d).value == want, d
+        assert seen == {s.value for s in ShapeClass}
 
 
 class TestCanonicalForm:

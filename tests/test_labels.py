@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -86,10 +89,49 @@ class TestConstruction:
          "l takes a slope pair, not a slope"),
         (LabelKind.H1, {"slope": Slope(1, 2)}, "h1 takes no payload"),
         (LabelKind.EM, {"pair": PAIR}, "em takes no payload"),
-    ], ids=["k1-pair", "k2-empty", "l-slope", "h1-slope", "em-pair"])
+        (LabelKind.K1, {"slope": Slope(1, 2), "pair": PAIR},
+         "k1 takes exactly a slope payload"),
+        (LabelKind.L, {"slope": Slope(1, 2), "pair": PAIR},
+         "l takes a slope pair, not a slope"),
+        (LabelKind.H2, {"pair": PAIR}, "h2 takes no payload"),
+    ], ids=["k1-pair", "k2-empty", "l-slope", "h1-slope", "em-pair",
+            "k1-both", "l-both", "h2-pair"])
     def test_payload_errors(self, kind, payload, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             AnnulusLabel(kind, **payload)
+
+    def test_fields(self):
+        fields = dataclasses.fields(AnnulusLabel)
+        assert [(f.name, f.default) for f in fields] == [
+            ("kind", dataclasses.MISSING), ("slope", None), ("pair", None)]
+
+    def test_keyword_construction(self):
+        assert AnnulusLabel(slope=Slope(8, 6), kind=LabelKind.K1) == k1(Slope(4, 3))
+        assert AnnulusLabel(kind=LabelKind.L, pair=PAIR) == ell(PAIR)
+        assert AnnulusLabel(kind=LabelKind.L) == ell()
+        assert AnnulusLabel(kind=LabelKind.H2) == H2
+        with pytest.raises(ValueError, match="^k2 takes exactly a slope payload$"):
+            AnnulusLabel(kind=LabelKind.K2, pair=PAIR)
+
+    def test_replace_checks_the_payload(self):
+        lab = dataclasses.replace(k1(Slope(4, 3)), kind=LabelKind.K2)
+        assert lab == k2(Slope(4, 3))
+        assert dataclasses.replace(ell(), pair=PAIR) == ell(PAIR)
+        with pytest.raises(ValueError, match="^h1 takes no payload$"):
+            dataclasses.replace(k1(Slope(4, 3)), kind=LabelKind.H1)
+
+    def test_a_rejected_payload_sets_no_field(self):
+        lab = k1(Slope(4, 3))
+        with pytest.raises(ValueError):
+            AnnulusLabel.__init__(lab, LabelKind.H1, Slope(1, 2))
+        assert (lab.kind, lab.slope, lab.pair) == (LabelKind.K1, Slope(4, 3), None)
+
+    @pytest.mark.parametrize("lab", [H1, H2, EM, k1(Slope(4, 3)), k2(Slope(2, 1)),
+                                     ell(), ell(PAIR)], ids=str)
+    def test_pickle_round_trip(self, lab):
+        twin = pickle.loads(pickle.dumps(lab))
+        assert (twin.kind, twin.slope, twin.pair) == (lab.kind, lab.slope, lab.pair)
+        assert twin == lab and hash(twin) == hash(lab)
 
     def test_structural_equality_on_normalized_payloads(self):
         assert k1(Slope(8, 6)) == k1(Slope(4, 3))
