@@ -85,6 +85,8 @@ class AnnulusLabel:
         elif kind is _L:
             if slope is not None:
                 raise ValueError("l takes a slope pair, not a slope")
+        elif type(kind) is not type(_EM):  # not a LabelKind
+            raise ValueError(f"{kind!r} is not a label kind")
         elif slope is not None or pair is not None:
             raise ValueError(f"{kind._value_} takes no payload")
         object.__setattr__(self, "kind", kind)

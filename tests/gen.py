@@ -37,6 +37,17 @@ def enumerate_diagrams(max_nodes, max_edges, kinds=ORACLE_KINDS,
                                   tuple(Edge(a, b, lab) for a, b, lab in combo))
 
 
+def simple_diagrams(n, alphabet, loops=False):
+    """Every diagram on ``n`` ``u`` nodes with at most one edge, labeled from
+    ``alphabet``, on each pair of nodes (and on each node, as a loop, if
+    ``loops``)."""
+    pairs = [(a, b) for a in range(n) for b in range(a if loops else a + 1, n)]
+    for labs in product((None, *alphabet), repeat=len(pairs)):
+        yield Diagram((NodeKind.UNKNOWN,) * n,
+                      [Edge(a, b, lab) for (a, b), lab in zip(pairs, labs)
+                       if lab is not None])
+
+
 def random_diagram(rng: random.Random, max_nodes=4, max_edges=4,
                    kinds=ORACLE_KINDS, alphabet=TEST_ALPHABET) -> Diagram:
     n = rng.randint(0, max_nodes)
@@ -46,6 +57,16 @@ def random_diagram(rng: random.Random, max_nodes=4, max_edges=4,
         Edge(rng.randrange(n), rng.randrange(n), rng.choice(alphabet))
         for _ in range(e))
     return Diagram(kind_vector, edges)
+
+
+# Edge probabilities of the dense G(n, p) shapes.
+DENSITIES = (0.5, 0.7, 0.85)
+
+
+def dense_ends(rng: random.Random, n, p):
+    """The edges of G(n, p): each pair a < b joined with probability p."""
+    return [(a, b) for a in range(n) for b in range(a + 1, n)
+            if rng.random() < p]
 
 
 def permuted_copy(rng: random.Random, d: Diagram) -> Diagram:
@@ -153,11 +174,12 @@ def shaped_diagrams(draw, min_nodes=0, max_nodes=7):
     """Random diagrams and the symmetric shapes a key search must prune:
     one-kind and alternating ``s``/``h`` cycles, some with evenly spaced
     chords (circulant graphs), complete multigraphs, identical stars,
-    edgeless diagrams and two disjoint cycles.  One edge may carry another
-    label.  Each is relabeled at random."""
+    edgeless diagrams, two disjoint cycles, and dense one-kind G(n, p)
+    diagrams, which have few symmetries to prune by.  One edge may carry
+    another label.  Each is relabeled at random."""
     n = draw(st.integers(min_nodes, max_nodes))
     shape = draw(st.sampled_from(["random", "cycle", "alternating", "complete",
-                                  "stars", "edgeless", "two-cycles"]))
+                                  "stars", "edgeless", "two-cycles", "dense"]))
     label = draw(labels)
     kinds = [draw(st.sampled_from(list(NodeKind)))] * n
     ends = []
@@ -184,6 +206,10 @@ def shaped_diagrams(draw, min_nodes=0, max_nodes=7):
         ends = ([(i, (i + 1) % half, label) for i in range(half)]
                 + [(half + i, half + (i + 1) % (n - half), label)
                    for i in range(n - half)])
+    elif shape == "dense":
+        rng = draw(st.randoms(use_true_random=False))
+        ends = [(a, b, label) for a, b in
+                dense_ends(rng, n, draw(st.sampled_from(DENSITIES)))]
     if ends and draw(st.booleans()):
         i = draw(st.integers(0, len(ends) - 1))
         ends[i] = ends[i][:2] + (draw(labels),)

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they verify: isomorphism is decided
 by raw permutation search over node bijections, canonical keys by
 minimizing the encoding over every node permutation (label texts rendered
-here from each label's fields), diagram shapes by counting label kinds
+here from each label's fields), the number of isomorphism classes by
+Burnside's lemma, diagram shapes by counting label kinds
 against the rules of the ``ShapeClass`` docstring, and slope-pair forms are
 decided with fractions.Fraction arithmetic straight from the definitions
 (p/q, q/p) with pq != 0 and (p/q, pq) with q != 0.
@@ -93,6 +94,27 @@ def brute_force_key(d) -> bytes:
         if best is None or enc < best:
             best = enc
     return best
+
+
+def burnside_count(n, labels, loops=False) -> int:
+    """The number of isomorphism classes of diagrams on ``n`` nodes of one
+    kind with at most one edge, of ``labels`` possible labels, on each pair
+    of nodes (and on each node, as a loop, if ``loops``): the mean, over the
+    node permutations, of (labels + 1) to the number of cycles the
+    permutation makes on those pairs."""
+    pairs = [(a, b) for a in range(n) for b in range(a if loops else a + 1, n)]
+    total = group = 0
+    for perm in permutations(range(n)):
+        seen, cycles = set(), 0
+        for pair in pairs:
+            cycles += pair not in seen
+            while pair not in seen:
+                seen.add(pair)
+                a, b = perm[pair[0]], perm[pair[1]]
+                pair = (min(a, b), max(a, b))
+        total += (labels + 1) ** cycles
+        group += 1
+    return total // group
 
 
 def _is_reciprocal_form(x: Fraction, y: Fraction) -> bool:

@@ -196,15 +196,16 @@ class TestParseErrors:
 
     def test_too_many_nodes(self):
         with pytest.raises(TooManyNodes) as err:
-            parse("annulusdiagram v1\nnodes: " + " ".join(["u"] * 17) + "\n")
-        assert err.value.line == 2
+            parse("annulusdiagram v1\nnodes: " + " ".join(["u"] * 9) + "\n")
+        assert (err.value.line, err.value.col) == (2, 24)
+        assert err.value.message == "9 nodes exceeds the bound of 8"
 
     @pytest.mark.parametrize("body, line, col", [
         ("nodes: u u\nedge: 0 5 h2", 3, 9),
         ("nodes: u u\nedge: 7\t9 h2", 3, 7),
         ("nodes: u u\n\nedge: 0 1 h2\nedge: 1  2 h2", 5, 10),
-        ("nodes: " + " ".join(["u"] * 17), 2, 40),
-        ("nodes: " + "\t".join(["s", "h"] * 10), 2, 40),
+        ("nodes: " + " ".join(["u"] * 9), 2, 24),
+        ("nodes: " + "\t".join(["s", "h"] * 5), 2, 24),
         ("nodes:\nedge: 0 0 h1", 3, 7),
     ], ids=["second-index", "first-index", "third-edge", "kinds", "tabs",
             "no-nodes"])

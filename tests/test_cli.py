@@ -1,7 +1,9 @@
 import io
 import os
+import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import anndiag
 from anndiag import TableKnot, base_diagram, parse
 from anndiag.cli import _build_parser, main
-from gen import AT_LIMIT, grammar_text
+from gen import AT_LIMIT, dense_ends, grammar_text
 
 FIVE_TWO_SHOW = (
     "annulusdiagram v1\n"
@@ -244,8 +246,8 @@ class TestValidate:
     @pytest.mark.parametrize("body, error", [
         ("nodes: u u\nedge: 0 5 h2\n",
          "line 3, column 9: edge (0, 5) references a node outside 0..1"),
-        ("nodes:" + " u" * 17 + "\n",
-         "line 2, column 40: 17 nodes exceeds the bound of 16"),
+        ("nodes:" + " u" * 9 + "\n",
+         "line 2, column 24: 9 nodes exceeds the bound of 8"),
         ("nodes: u x\n",
          "line 2, column 10: unknown node kind 'x' (expected s | h | u)"),
     ], ids=["dangling", "too-many-nodes", "node-kind"])
@@ -277,13 +279,27 @@ class TestCanon:
         second = run(capsys, "canon", "motto:-3")
         assert first == second
 
-    def test_sixteen_nodes(self, capsys, tmp_path):
-        path = tmp_path / "c16.ad"
-        path.write_text("annulusdiagram v1\nnodes:" + " u" * 16 + "\n" + "".join(
-            f"edge: {i} {(i + 1) % 16} h2\n" for i in range(16)), encoding="ascii")
+    def test_eight_nodes(self, capsys, tmp_path):
+        path = tmp_path / "c8.ad"
+        path.write_text("annulusdiagram v1\nnodes:" + " u" * 8 + "\n" + "".join(
+            f"edge: {i} {(i + 1) % 8} h2\n" for i in range(8)), encoding="ascii")
         status, out, err = run(capsys, "canon", str(path))
         assert (status, err) == (0, "")
-        assert bytes.fromhex(out).startswith(b"u" * 16 + b"|0.1.h2;0.2.h2;1.3.h2")
+        assert bytes.fromhex(out) == (
+            b"u" * 8 + b"|0.1.h2;0.2.h2;1.3.h2;2.4.h2;3.5.h2;4.6.h2;5.7.h2;6.7.h2")
+
+    def test_sixteen_nodes(self, capsys, tmp_path):
+        # G(16, 0.5), 61 edges: refused before a key search, which took over a
+        # minute on it.
+        rng = random.Random(1016)
+        path = tmp_path / "g16.ad"
+        path.write_text("annulusdiagram v1\nnodes:" + " u" * 16 + "\n" + "".join(
+            f"edge: {a} {b} h2\n" for a, b in dense_ends(rng, 16, 0.5)),
+            encoding="ascii")
+        start = time.process_time()
+        assert run(capsys, "canon", str(path)) == (3, "", f"error: {path}: "
+            "line 2, column 24: 16 nodes exceeds the bound of 8\n")
+        assert time.process_time() - start < 1.0
 
 
 class TestUsage:

@@ -94,8 +94,13 @@ class TestConstruction:
         (LabelKind.L, {"slope": Slope(1, 2), "pair": PAIR},
          "l takes a slope pair, not a slope"),
         (LabelKind.H2, {"pair": PAIR}, "h2 takes no payload"),
+        ("k1", {}, "'k1' is not a label kind"),
+        ("h1", {}, "'h1' is not a label kind"),
+        (None, {}, "None is not a label kind"),
+        ("k1", {"slope": Slope(4, 3)}, "'k1' is not a label kind"),
     ], ids=["k1-pair", "k2-empty", "l-slope", "h1-slope", "em-pair",
-            "k1-both", "l-both", "h2-pair"])
+            "k1-both", "l-both", "h2-pair", "k1-text", "h1-text", "none",
+            "k1-text-slope"])
     def test_payload_errors(self, kind, payload, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             AnnulusLabel(kind, **payload)
