@@ -35,14 +35,17 @@ class _CliError(Exception):
 
 
 def _read_document(path: str) -> DiagramDocument:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as err:
-            raise _CliError(2, f"cannot read {path}: {err.strerror}") from None
+    except OSError as err:
+        raise _CliError(2, f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError:
+        # No offset: the reader decodes in chunks, so err.start is not one.
+        raise _CliError(2, f"cannot read {path}: not valid UTF-8") from None
     try:
         return parse(text)
     except (ParseError, DiagramError) as err:

@@ -3,18 +3,21 @@
 Each family is an infinite sequence of genus-two handlebody-knots obtained
 by re-embedding one exterior via n twists along a twisting annulus or disk,
 so all members of a family share a homeomorphic exterior.  The generators
-here emit the resulting annulus diagrams directly; the twist acts on the
-recorded slope data through a family-specific unimodular matrix.
+here emit the resulting annulus diagrams directly, each slope in one closed
+form.  Where a twist acts on a table knot's slope, the closed form is that
+slope's image under the twist's unimodular matrix (``apply_unimodular``),
+which the tests check for every n they draw.
 
 Slope formulas per family (n the twist count):
 
 * Motto family (twists on the 6_1 exterior): h2 plus k2 with slope
-  2/(1 - 2n).
+  2/(1 - 2n), the image of 6_1's k2 slope 2/1 under (1, 0; -n, 1).
 * Lee-Lee family I (twists on 5_1 along a disk, n != 0): a single l edge
   with slope pair (1/n, n).
 * Lee-Lee I variant (twists on 5_1 along an annulus, n not in {0, -1}):
   a single l edge with slope pair (n/(n+1), (n+1)/n).
-* Lee-Lee family II (twists on 5_2): a stick with k1 slope 4/3 + 4n.
+* Lee-Lee family II (twists on 5_2): a stick with k1 slope 4/3 + 4n,
+  the image of 5_2's k1 slope 4/3 under (1, 4n; 0, 1).
 * E family: a single h2 edge for every n; its members are inequivalent even
   though diagram and exterior agree, which bounds what any decision on the
   circle shape may conclude.
@@ -28,7 +31,7 @@ from enum import Enum
 from .diagram import Diagram, Edge, NodeKind, ShapeClass, are_isomorphic, shape_of
 from .errors import ParameterOutOfDomain
 from .labels import H1, H2, ell, k1, k2
-from .rational import Slope, SlopePair, apply_unimodular
+from .rational import Slope, SlopePair
 
 __all__ = [
     "Family",
@@ -104,10 +107,6 @@ _U = NodeKind.UNKNOWN
 # each keeps its own stored key.
 _H2_EDGE = Edge(0, 1, H2)
 
-# Base slopes the twists act on: the k2 slope of 6_1 and the k1 slope of 5_2.
-_MOTTO_BASE = Slope(2, 1)
-_LL2_BASE = Slope(4, 3)
-
 
 def family_diagram(f: Family, n: int) -> Diagram:
     """The annulus diagram of the n-th member of a twist family.
@@ -120,8 +119,8 @@ def family_diagram(f: Family, n: int) -> Diagram:
     nodes.
     """
     if f is _MOTTO:
-        slope = apply_unimodular(_MOTTO_BASE, 1, 0, -n, 1)
-        return Diagram((_U, _U, _U), (_H2_EDGE, Edge(1, 2, k2(slope))))
+        return Diagram((_U, _U, _U),
+                       (_H2_EDGE, Edge(1, 2, k2(Slope(2, 1 - 2 * n)))))
     if f is _LL1:
         if n == 0:
             raise ParameterOutOfDomain("ll1 requires n != 0")
@@ -135,8 +134,7 @@ def family_diagram(f: Family, n: int) -> Diagram:
         pair = SlopePair(Slope(n, n + 1), Slope(n + 1, n))
         return Diagram((_U,), (Edge(0, 0, ell(pair)),))
     if f is _LL2:
-        slope = apply_unimodular(_LL2_BASE, 1, 4 * n, 0, 1)
-        return Diagram((_U, _U), (Edge(0, 1, k1(slope)),))
+        return Diagram((_U, _U), (Edge(0, 1, k1(Slope(4 + 12 * n, 3))),))
     # E family: one type 2-2 annulus for every twist count.
     return Diagram((_U, _U), (_H2_EDGE,))
 

@@ -84,30 +84,24 @@ class Slope:
 INFINITY = Slope(1, 0)
 
 
-def _pair_key(s: Slope) -> tuple[int, int]:
-    # Descending (q, p) puts larger denominators first and infinity (q = 0)
-    # last, matching the printed forms l(1/3,3), l(1/2,2), ...
-    return (-s.q, -s.p)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SlopePair:
     """An unordered pair of slopes, stored in a canonical order.
 
     Construction from (a, b) and from (b, a) yields identical fields: the
     member with the larger denominator is stored first (ties broken by
-    numerator, descending), and infinity always sorts last.
+    numerator, descending), and infinity always sorts last, matching the
+    printed forms l(1/3,3), l(1/2,2), ...
     """
 
     first: Slope
     second: Slope
 
-    def __post_init__(self):
-        a, b = self.first, self.second
-        if _pair_key(a) > _pair_key(b):
-            a, b = b, a
-        object.__setattr__(self, "first", a)
-        object.__setattr__(self, "second", b)
+    def __init__(self, first: Slope, second: Slope):
+        if (first.q, first.p) < (second.q, second.p):
+            first, second = second, first
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
     def __str__(self) -> str:
         return f"({self.first},{self.second})"
@@ -147,27 +141,19 @@ def apply_unimodular(s: Slope, a: int, b: int, c: int, d: int) -> Slope:
     return Slope(a * s.p + b * s.q, c * s.p + d * s.q)
 
 
-def _is_reciprocal(x: Slope, y: Slope) -> bool:
-    # (p/q, q/p) with pq != 0; symmetric in x and y.
-    return x.p != 0 and y == x.reciprocal()
-
-
-def _is_product(x: Slope, y: Slope) -> bool:
-    # (p/q, pq) with q != 0; q != 0 holds for every finite slope.
-    return y == Slope(x.p * x.q, 1)
-
-
 def pair_form(pr: SlopePair) -> FormClass:
     """Classify a slope pair against the two legal forms.
 
-    Both members must be finite.  The pair is unordered, so each predicate is
-    checked with either member playing the p/q role.
+    Both members must be finite.  The pair is unordered, so each form is
+    tested with either member playing the p/q role, on the normalized
+    integers: (p/q, q/p) holds when p != 0 and the cross products agree, and
+    (p/q, pq) when the other member is the integer pq.
     """
     a, b = pr.first, pr.second
-    if a.is_infinite or b.is_infinite:
+    if a.q == 0 or b.q == 0:
         raise InfiniteSlope(f"pair {pr} has an infinite member")
-    reciprocal = _is_reciprocal(a, b)
-    product = _is_product(a, b) or _is_product(b, a)
+    reciprocal = a.p != 0 and a.p * b.p == a.q * b.q
+    product = (b.q == 1 and b.p == a.p * a.q) or (a.q == 1 and a.p == b.p * b.q)
     if reciprocal and product:
         return _BOTH
     if reciprocal:

@@ -262,6 +262,19 @@ class TestValidate:
         monkeypatch.setattr("sys.stdin", io.StringIO(shown))
         assert run(capsys, "validate", "-") == (0, "ok\n", "")
 
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    def test_non_utf8_is_a_read_error(self, from_stdin, capsys, monkeypatch,
+                                      tmp_path):
+        data = b"annulusdiagram v1\nnodes: u \xff u\n"
+        path = tmp_path / "bad.ad"
+        path.write_bytes(data)
+        if from_stdin:
+            path = "-"
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+                io.BytesIO(data), encoding="utf-8"))
+        assert run(capsys, "validate", str(path)) == (
+            2, "", f"error: cannot read {path}: not valid UTF-8\n")
+
 
 class TestCanon:
     def test_hex_key(self, capsys):
@@ -397,21 +410,35 @@ documents = st.builds(
     grammar_text)
 
 
+def _splice(doc, at, bad):
+    at %= len(doc) + 1
+    return doc[:at] + bad + doc[at:]
+
+
+# Documents as UTF-8, arbitrary bytes, and documents with a byte sequence
+# that is not UTF-8 spliced in.
+_encoded = documents.map(str.encode)
+byte_documents = st.one_of(
+    _encoded, st.binary(),
+    st.builds(_splice, _encoded, st.integers(0, 10**6),
+              st.sampled_from([b"\xff", b"\xc3(", b"\x80", b"\xed\xa0\x80"])))
+
+
 class TestTotality:
-    """Every UTF-8 file ends in exit 0, 2 or 3, never a traceback, and stderr
-    holds nothing or one ``error:`` line."""
+    """Every file, whatever its bytes, ends in exit 0, 2 or 3, never a
+    traceback, and stderr holds nothing or one ``error:`` line."""
 
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("totality") / "doc.ad"
 
     @settings(max_examples=150, deadline=None)
-    @given(text=documents)
+    @given(data=byte_documents)
     @pytest.mark.parametrize("argv", [["show", "{}"], ["validate", "{}"],
                                       ["canon", "{}"], ["compare", "{}", "5_2"]],
                              ids=["show", "validate", "canon", "compare"])
-    def test_exits_0_2_or_3(self, argv, path, text):
-        path.write_bytes(text.encode("utf-8"))
+    def test_exits_0_2_or_3(self, argv, path, data):
+        path.write_bytes(data)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:

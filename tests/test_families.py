@@ -2,15 +2,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anndiag import (H1, H2, CatalogEntry, Diagram, Edge,
                      ExteriorDetermines, Family, FormClass, LabelKind,
                      NodeKind, ParameterOutOfDomain, ShapeClass, Slope,
-                     SlopePair, TableKnot, Verdict, are_isomorphic,
-                     base_diagram, decide_equivalence, distinguish, ell,
-                     e_family_crossing_number, family_diagram, k1,
-                     label_to_text, leelee2_companion_torus_knot, pair_form,
-                     shape_of, validate_diagram)
+                     SlopePair, TableKnot, Verdict, apply_unimodular,
+                     are_isomorphic, base_diagram, decide_equivalence,
+                     distinguish, ell, e_family_crossing_number,
+                     family_diagram, k1, label_to_text,
+                     leelee2_companion_torus_knot, pair_form, shape_of,
+                     validate_diagram)
 from gen import AT_LIMIT
 
 U = NodeKind.UNKNOWN
@@ -75,6 +78,15 @@ class TestGenerators:
         want = Fraction(4, 3) + 4 * n
         assert (slope.p, slope.q) == (want.numerator, want.denominator)
         assert slope.q == 3
+
+    @given(st.integers(-10**40, 10**40))
+    def test_closed_forms_are_the_twist_images(self, n):
+        # The generator states each slope in closed form; the twist matrices
+        # acting on the base slopes of 6_1 and 5_2 must give the same slope.
+        motto = family_diagram(Family.MOTTO, n).edges[1].label.slope
+        assert motto == apply_unimodular(Slope(2, 1), 1, 0, -n, 1)
+        ll2 = family_diagram(Family.LL2, n).edges[0].label.slope
+        assert ll2 == apply_unimodular(Slope(4, 3), 1, 4 * n, 0, 1)
 
     def test_ll1_pairs_are_both_forms(self):
         for n in family_domain(Family.LL1):

@@ -162,6 +162,33 @@ class TestSlopePair:
         pr = SlopePair(Slope(1, 0), Slope(2, 1))
         assert pr.second.is_infinite
 
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(SlopePair)] == [
+            "first", "second"]
+
+    def test_keyword_construction(self):
+        pr = SlopePair(Slope(1, 3), Slope(3, 1))
+        assert SlopePair(first=Slope(3, 1), second=Slope(1, 3)) == pr
+        assert SlopePair(second=Slope(1, 3), first=Slope(3, 1)) == pr
+        assert SlopePair(second=Slope(3, 1), first=Slope(1, 3)) == pr
+
+    @pytest.mark.parametrize("change, pair", [
+        ({"first": Slope(1, 0)}, (Slope(3, 1), Slope(1, 0))),
+        ({"first": Slope(5, 1)}, (Slope(5, 1), Slope(3, 1))),
+        ({"second": Slope(2, 7)}, (Slope(2, 7), Slope(1, 3)))])
+    def test_replace_orders_the_pair(self, change, pair):
+        pr = dataclasses.replace(SlopePair(Slope(1, 3), Slope(3, 1)), **change)
+        assert (pr.first, pr.second) == pair
+
+    @pytest.mark.parametrize("a, b", [
+        (Slope(3, 1), Slope(1, 3)), (Slope(1, 0), Slope(-2, 5)),
+        (Slope(0, 1), Slope(0, 1))])
+    def test_pickle_round_trip(self, a, b):
+        pr = SlopePair(a, b)
+        twin = pickle.loads(pickle.dumps(pr))
+        assert (twin.first, twin.second) == (pr.first, pr.second)
+        assert twin == pr and hash(twin) == hash(pr)
+
     @given(finite_slopes, finite_slopes)
     def test_form_symmetry(self, a, b):
         assert pair_form(SlopePair(a, b)) == pair_form(SlopePair(b, a))
