@@ -35,19 +35,22 @@ class _CliError(Exception):
 
 
 def _read_document(path: str) -> DiagramDocument:
+    # Bytes, decoded strictly: a text stdin may carry a bad byte through as a
+    # lone surrogate, depending on the locale.
     try:
         if path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
+        text = data.decode("utf-8")
     except OSError as err:
         raise _CliError(2, f"cannot read {path}: {err.strerror}") from None
     except UnicodeDecodeError:
-        # No offset: the reader decodes in chunks, so err.start is not one.
         raise _CliError(2, f"cannot read {path}: not valid UTF-8") from None
     try:
-        return parse(text)
+        # Newlines as text mode reads them.
+        return parse(text.replace("\r\n", "\n").replace("\r", "\n"))
     except (ParseError, DiagramError) as err:
         raise _CliError(3, f"{path}: {err}") from None
 

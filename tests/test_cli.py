@@ -6,9 +6,10 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anndiag
@@ -45,6 +46,14 @@ MOTTO_ONE_SHOW = (
 # Valid in lenient mode; ``validate --strict`` flags the integral k2 slope.
 INTEGRAL_K2 = ("annulusdiagram v1\nnodes: u u u\nedge: 0 1 h2\n"
                "edge: 1 2 k2(2)\n")
+
+
+def stdin_of(data, errors="strict"):
+    """A stdin that yields ``data``, opened as Python opens it on POSIX (no
+    newline translation); under the C locale ``errors`` is
+    ``"surrogateescape"``."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors,
+                            newline="\n")
 
 
 def run(capsys, *argv):
@@ -259,21 +268,36 @@ class TestValidate:
 
     def test_show_pipes_into_validate(self, capsys, monkeypatch):
         _, shown, _ = run(capsys, "show", "5_2")
-        monkeypatch.setattr("sys.stdin", io.StringIO(shown))
+        monkeypatch.setattr("sys.stdin", stdin_of(shown.encode()))
         assert run(capsys, "validate", "-") == (0, "ok\n", "")
 
-    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
-    def test_non_utf8_is_a_read_error(self, from_stdin, capsys, monkeypatch,
+    @pytest.mark.parametrize("stdin_errors", [None, "strict", "surrogateescape"],
+                             ids=["file", "stdin", "stdin-surrogateescape"])
+    def test_non_utf8_is_a_read_error(self, stdin_errors, capsys, monkeypatch,
                                       tmp_path):
-        data = b"annulusdiagram v1\nnodes: u \xff u\n"
-        path = tmp_path / "bad.ad"
+        for command, data in (
+                ("validate", b"annulusdiagram v1\nnodes: u \xff u\n"),
+                ("show", b"annulusdiagram v1\nnodes: u\nname: a\xffb\n")):
+            path = tmp_path / "bad.ad"
+            path.write_bytes(data)
+            if stdin_errors:
+                path = "-"
+                monkeypatch.setattr("sys.stdin", stdin_of(data, stdin_errors))
+            assert run(capsys, command, str(path)) == (
+                2, "", f"error: cannot read {path}: not valid UTF-8\n")
+
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_newlines_read_as_in_text_mode(self, newline, from_stdin, capsys,
+                                           monkeypatch, tmp_path):
+        _, shown, _ = run(capsys, "show", "5_2")
+        data = shown.replace("\n", newline).encode()
+        path = tmp_path / "five_two.ad"
         path.write_bytes(data)
         if from_stdin:
             path = "-"
-            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
-                io.BytesIO(data), encoding="utf-8"))
-        assert run(capsys, "validate", str(path)) == (
-            2, "", f"error: cannot read {path}: not valid UTF-8\n")
+            monkeypatch.setattr("sys.stdin", stdin_of(data))
+        assert run(capsys, "show", str(path)) == (0, shown, "")
 
 
 class TestCanon:
@@ -425,8 +449,9 @@ byte_documents = st.one_of(
 
 
 class TestTotality:
-    """Every file, whatever its bytes, ends in exit 0, 2 or 3, never a
-    traceback, and stderr holds nothing or one ``error:`` line."""
+    """Every file or stdin, whatever its bytes, ends in exit 0, 2 or 3,
+    never a traceback; stderr holds nothing or one ``error:`` line, and
+    stdout is UTF-8 (no byte comes back as a lone surrogate)."""
 
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
@@ -434,18 +459,24 @@ class TestTotality:
 
     @settings(max_examples=150, deadline=None)
     @given(data=byte_documents)
-    @pytest.mark.parametrize("argv", [["show", "{}"], ["validate", "{}"],
-                                      ["canon", "{}"], ["compare", "{}", "5_2"]],
-                             ids=["show", "validate", "canon", "compare"])
+    @example(data=b"annulusdiagram v1\nnodes: u\nname: a\xffb\n")
+    @pytest.mark.parametrize("argv", [
+        ["show", "{}"], ["validate", "{}"], ["canon", "{}"],
+        ["compare", "{}", "5_2"], ["show", "-"], ["validate", "-"],
+        ["canon", "-"], ["compare", "-", "5_2"]],
+        ids=["show", "validate", "canon", "compare", "show-stdin",
+             "validate-stdin", "canon-stdin", "compare-stdin"])
     def test_exits_0_2_or_3(self, argv, path, data):
         path.write_bytes(data)
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
+        with (redirect_stdout(out), redirect_stderr(err),
+              mock.patch("sys.stdin", stdin_of(data, "surrogateescape"))):
             try:
                 status = main([arg.format(path) for arg in argv])
             except SystemExit as stop:  # argparse
                 status = stop.code
         assert status in (0, 2, 3)
+        out.getvalue().encode("utf-8")  # strict: raises on a lone surrogate
         lines = err.getvalue().splitlines(keepends=True)
         assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")
                                and lines[0].endswith("\n"))

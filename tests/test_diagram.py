@@ -22,6 +22,7 @@ from gen import (DENSITIES, dense_ends, diagrams, enumerate_diagrams,
 from gen import labels as labels_strategy
 from oracle import brute_force_isomorphic, brute_force_key, burnside_count
 from oracle import shape as oracle_shape
+from test_slots import assert_slotted
 
 S, H, U = NodeKind.FIBERED, NodeKind.SIMPLE, NodeKind.UNKNOWN
 PAIR = SlopePair(Slope(1, 2), Slope(2, 1))
@@ -76,6 +77,27 @@ class TestConstruction:
         assert str(too_many.value) == "9 nodes exceeds the bound of 8"
         assert dangling.value.line is too_many.value.line is None
         assert no_nodes.value.line is None
+
+
+class TestEdge:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(Edge)] == ["a", "b", "label"]
+
+    def test_keyword_construction(self):
+        assert Edge(label=H2, b=1, a=0) == Edge(0, 1, H2)
+        assert repr(Edge(0, 1, H2)) == "Edge(a=0, b=1, label=AnnulusLabel(h2))"
+
+    def test_replace_runs_the_constructor(self):
+        # Only __init__ fills the slots; an unfilled one would not compare.
+        e = dataclasses.replace(Edge(0, 1, H2), b=0, label=ell(PAIR))
+        assert (e.a, e.b, e.label) == (0, 0, ell(PAIR))
+        assert e == Edge(0, 0, ell(PAIR))
+
+    @pytest.mark.parametrize("edge", [
+        Edge(0, 1, H2), Edge(2, 2, ell(PAIR)), Edge(1, 0, k1(Slope(4, 3)))],
+        ids=str)
+    def test_pickle_round_trip(self, edge):
+        assert_slotted(edge)
 
 
 class TestShape:

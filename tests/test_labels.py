@@ -10,6 +10,7 @@ from anndiag import (EM, H1, H2, AnnulusLabel, LabelKind, ParseError,
                      separation_class, validate_label)
 from gen import AT_LIMIT, TOO_LONG, labels
 from oracle import label_text
+from test_slots import assert_slotted
 
 PAIR = SlopePair(Slope(1, 2), Slope(2, 1))
 
@@ -137,6 +138,7 @@ class TestConstruction:
         twin = pickle.loads(pickle.dumps(lab))
         assert (twin.kind, twin.slope, twin.pair) == (lab.kind, lab.slope, lab.pair)
         assert twin == lab and hash(twin) == hash(lab)
+        assert_slotted(lab)
 
     def test_structural_equality_on_normalized_payloads(self):
         assert k1(Slope(8, 6)) == k1(Slope(4, 3))

@@ -11,6 +11,7 @@ from anndiag import (FormClass, InfiniteSlope, NotUnimodular, ParseError,
                      pair_form, parse_slope, parse_slope_pair)
 from gen import TOO_LONG, finite_slopes, slopes
 from oracle import expected_pair_form
+from test_slots import assert_slotted
 
 
 class TestSlopeNormalization:
@@ -84,6 +85,7 @@ class TestOneStepNormalization:
         twin = pickle.loads(pickle.dumps(s))
         assert (twin.p, twin.q) == pq
         assert twin == s and hash(twin) == hash(s)
+        assert_slotted(s)
 
 
 class TestPredicates:
@@ -188,6 +190,7 @@ class TestSlopePair:
         twin = pickle.loads(pickle.dumps(pr))
         assert (twin.first, twin.second) == (pr.first, pr.second)
         assert twin == pr and hash(twin) == hash(pr)
+        assert_slotted(pr)
 
     @given(finite_slopes, finite_slopes)
     def test_form_symmetry(self, a, b):
