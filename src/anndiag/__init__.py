@@ -14,10 +14,11 @@ from .errors import (DanglingEndpoint, DiagramError, InfiniteSlope,
                      NotUnimodular, ParameterOutOfDomain, ParseError,
                      SlopeError, TooManyNodes, UnsupportedVersion,
                      ZeroOverZero)
-from .families import (CatalogEntry, ExteriorDetermines, Family, TableKnot,
-                       Verdict, base_diagram, decide_equivalence, distinguish,
+from .families import (FAMILY_SHAPES, CatalogEntry, ExteriorDetermines,
+                       Family, TableKnot, Verdict, base_diagram,
+                       decide_equivalence, distinguish,
                        e_family_crossing_number, family_diagram,
-                       leelee2_companion_torus_knot)
+                       family_labels, leelee2_companion_torus_knot)
 from .labels import (EM, H1, H2, AnnulusLabel, LabelKind, SeparationClass,
                      Strictness, ValidationResult, Violation, ViolationCode,
                      ell, k1, k2, label_to_text, parse_label,

@@ -17,11 +17,11 @@ import os
 import sys
 
 from .catalog_io import DiagramDocument, parse, serialize
-from .diagram import Diagram, canonical_form, shape_of, validate_diagram
+from .diagram import canonical_form, shape_of, validate_diagram
 from .errors import DiagramError, ParameterOutOfDomain, ParseError
-from .families import (Family, TableKnot, base_diagram, decide_equivalence,
-                       family_diagram)
-from .labels import Strictness, label_to_text
+from .families import (FAMILY_SHAPES, Family, TableKnot, base_diagram,
+                       decide_equivalence, family_diagram, family_labels)
+from .labels import AnnulusLabel, Strictness, label_to_text
 from .rational import scan_digits
 
 _FAMILY_NAMES = {f.value for f in Family}
@@ -74,10 +74,12 @@ def _resolve(target: str) -> DiagramDocument:
         raise _CliError(2, f"{family} parameter: {err}") from None
     except ValueError:
         return _read_document(target)
+    f = Family(family)
     try:
-        d, _ = _member(Family(family), n)
+        d = family_diagram(f, n)
     except ParameterOutOfDomain as err:
         raise _CliError(2, str(err)) from None
+    _labels_text(f, tuple(e.label for e in d.edges))  # exit 2 if too large
     return DiagramDocument(d, name=target, note=f"shape={shape_of(d).value}")
 
 
@@ -94,11 +96,10 @@ def integer(text: str) -> int:
     return -n if neg else n
 
 
-def _member(family: Family, n: int) -> tuple[Diagram, list[str]]:
-    """The n-th member of ``family`` and its edge labels as text."""
-    d = family_diagram(family, n)
+def _labels_text(family: Family, labels: tuple[AnnulusLabel, ...]) -> str:
+    """A member's labels as text, or exit 2 if one is too large to print."""
     try:
-        return d, [label_to_text(e.label) for e in d.edges]
+        return ",".join(map(label_to_text, labels))
     except ValueError:  # a slope past the int-string limit
         raise _CliError(2, f"{family.value} member too large to print") from None
 
@@ -121,13 +122,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.frm > args.to:
         raise _CliError(2, f"empty range: {args.frm} > {args.to}")
     family = Family(args.family)
+    shape = FAMILY_SHAPES[family]._value_
     write = sys.stdout.write
     for n in range(args.frm, args.to + 1):
         try:
-            d, labels = _member(family, n)
+            labels = family_labels(family, n)
         except ParameterOutOfDomain:
             continue
-        write(f"{n}\t{','.join(labels)}\t{shape_of(d)._value_}\n")
+        write(f"{n}\t{_labels_text(family, labels)}\t{shape}\n")
     return 0
 
 

@@ -2,11 +2,12 @@
 
 Each family is an infinite sequence of genus-two handlebody-knots obtained
 by re-embedding one exterior via n twists along a twisting annulus or disk,
-so all members of a family share a homeomorphic exterior.  The generators
-here emit the resulting annulus diagrams directly, each slope in one closed
-form.  Where a twist acts on a table knot's slope, the closed form is that
-slope's image under the twist's unimodular matrix (``apply_unimodular``),
-which the tests check for every n they draw.
+so all members of a family share a homeomorphic exterior.  A family also
+fixes its layout and label kinds, so its shape is a constant, which
+``shape_of`` computes once (``FAMILY_SHAPES``); only the slopes change with
+n, each in one closed form (``family_labels``).  Where a twist acts on a
+table knot's slope, that form is the slope's image under the twist's
+unimodular matrix (``apply_unimodular``), checked for every n drawn.
 
 Slope formulas per family (n the twist count):
 
@@ -30,7 +31,7 @@ from enum import Enum
 
 from .diagram import Diagram, Edge, NodeKind, ShapeClass, are_isomorphic, shape_of
 from .errors import ParameterOutOfDomain
-from .labels import H1, H2, ell, k1, k2
+from .labels import H1, H2, AnnulusLabel, ell, k1, k2
 from .rational import Slope, SlopePair
 
 __all__ = [
@@ -39,6 +40,8 @@ __all__ = [
     "ExteriorDetermines",
     "Verdict",
     "CatalogEntry",
+    "FAMILY_SHAPES",
+    "family_labels",
     "family_diagram",
     "base_diagram",
     "distinguish",
@@ -103,40 +106,49 @@ class CatalogEntry:
 
 
 _U = NodeKind.UNKNOWN
-# The h2 edge of every motto and e member; each member is a fresh Diagram, so
-# each keeps its own stored key.
-_H2_EDGE = Edge(0, 1, H2)
+# Each family's node kinds, and the ends of the edge of each of its labels in
+# order.  k1, k2 and h2 edges join two distinct nodes; an l edge is a loop.
+_LAYOUTS = {
+    _MOTTO: ((_U, _U, _U), ((0, 1), (1, 2))),
+    _LL1: ((_U,), ((0, 0),)),
+    _LL1V: ((_U,), ((0, 0),)),
+    _LL2: ((_U, _U), ((0, 1),)),
+    Family.E: ((_U, _U), ((0, 1),)),
+}
 
 
-def family_diagram(f: Family, n: int) -> Diagram:
-    """The annulus diagram of the n-th member of a twist family.
-
-    LL1 requires n != 0 and LL1_VARIANT requires n not in {0, -1} (at those
-    parameters the stated slope data degenerates); Motto, LL2, and E accept
-    every integer.  Node kinds are recorded UNKNOWN: separating labels (k1,
-    k2, em) join two distinct nodes, the non-separating l label is a loop on
-    a single node, and the h2 edge of the circle layouts joins two distinct
-    nodes.
-    """
+def family_labels(f: Family, n: int) -> tuple[AnnulusLabel, ...]:
+    """The edge labels of the n-th member of a twist family.  LL1 requires
+    n != 0 and LL1_VARIANT requires n not in {0, -1} (at those parameters
+    the stated slope data degenerates); Motto, LL2, and E accept every n."""
     if f is _MOTTO:
-        return Diagram((_U, _U, _U),
-                       (_H2_EDGE, Edge(1, 2, k2(Slope(2, 1 - 2 * n)))))
+        return (H2, k2(Slope(2, 1 - 2 * n)))
     if f is _LL1:
         if n == 0:
             raise ParameterOutOfDomain("ll1 requires n != 0")
-        pair = SlopePair(Slope(1, n), Slope(n, 1))
-        return Diagram((_U,), (Edge(0, 0, ell(pair)),))
+        return (ell(SlopePair(Slope(1, n), Slope(n, 1))),)
     if f is _LL1V:
         if n in (0, -1):
             raise ParameterOutOfDomain(
                 "ll1v requires n not in {0, -1}: slope n/(n+1) must be "
                 "defined and non-integral")
-        pair = SlopePair(Slope(n, n + 1), Slope(n + 1, n))
-        return Diagram((_U,), (Edge(0, 0, ell(pair)),))
+        return (ell(SlopePair(Slope(n, n + 1), Slope(n + 1, n))),)
     if f is _LL2:
-        return Diagram((_U, _U), (Edge(0, 1, k1(Slope(4 + 12 * n, 3))),))
+        return (k1(Slope(4 + 12 * n, 3)),)
     # E family: one type 2-2 annulus for every twist count.
-    return Diagram((_U, _U), (_H2_EDGE,))
+    return (H2,)
+
+
+def family_diagram(f: Family, n: int) -> Diagram:
+    """The n-th member of a twist family: ``family_labels(f, n)`` on the
+    family's layout, every node kind UNKNOWN."""
+    nodes, ends = _LAYOUTS[f]
+    return Diagram(nodes, [Edge(a, b, label) for (a, b), label
+                           in zip(ends, family_labels(f, n))])
+
+
+# Every member has the shape of member 1, which is in every domain.
+FAMILY_SHAPES = {f: shape_of(family_diagram(f, 1)) for f in Family}
 
 
 def base_diagram(knot: TableKnot) -> CatalogEntry:

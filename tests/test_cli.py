@@ -13,9 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anndiag
-from anndiag import TableKnot, base_diagram, parse
+from anndiag import DiagramDocument, TableKnot, base_diagram, parse, serialize
 from anndiag.cli import _build_parser, main
-from gen import AT_LIMIT, dense_ends, grammar_text
+from gen import AT_LIMIT, dense_ends, diagrams, grammar_text
 
 FIVE_TWO_SHOW = (
     "annulusdiagram v1\n"
@@ -162,17 +162,25 @@ def _expected_row(family, n):
         return f"{n}\th2,k2({_fraction_text(slope)})\tcircle-stick"
     if family == "ll2":  # 4/3 under (1, 4n, 0, 1)
         return f"{n}\tk1({_fraction_text(Fraction(4, 3) + 4 * n)})\tstick"
-    if n in (0, -1):  # ll1v: n/(n+1) undefined or integral
-        return None
+    if family == "e":
+        return f"{n}\th2\tcircle"
+    if family == "ll1":
+        if n == 0:
+            return None
+        pair = (Fraction(1, n), Fraction(n))
+    else:  # ll1v
+        if n in (0, -1):  # n/(n+1) undefined or integral
+            return None
+        pair = (Fraction(n, n + 1), Fraction(n + 1, n))
     # The pair prints its member with the larger denominator first.
-    pair = sorted((Fraction(n, n + 1), Fraction(n + 1, n)),
-                  key=lambda f: (-f.denominator, -f.numerator))
+    pair = sorted(pair, key=lambda f: (-f.denominator, -f.numerator))
     return f"{n}\tl({','.join(map(_fraction_text, pair))})\tother"
 
 
 class TestLargeTable:
     @pytest.mark.parametrize("family, frm, to", [
-        ("motto", -1234, 1265), ("ll2", -600, 600), ("ll1v", -300, 300)])
+        ("motto", -1234, 1265), ("ll2", -600, 600), ("ll1v", -300, 300),
+        ("ll1", -600, 600), ("e", -1000, 1000)])
     def test_rows_match_the_slope_formulas(self, family, frm, to, capsys):
         status, out, err = run(capsys, "table", family, str(frm), str(to))
         assert (status, err) == (0, "")
@@ -439,13 +447,23 @@ def _splice(doc, at, bad):
     return doc[:at] + bad + doc[at:]
 
 
-# Documents as UTF-8, arbitrary bytes, and documents with a byte sequence
-# that is not UTF-8 spliced in.
+def _with_value(d, key, head, bad, tail):
+    return (serialize(DiagramDocument(d)) + key + ": ").encode() + (
+        head + bad + tail + b"\n")
+
+
+# Documents as UTF-8, arbitrary bytes, documents with a byte sequence that
+# is not UTF-8 spliced in, and documents that parse but for such a sequence
+# inside the name or note value, which ``show`` echoes.
 _encoded = documents.map(str.encode)
+_not_utf8 = st.sampled_from([b"\xff", b"\xc3(", b"\x80", b"\xed\xa0\x80"])
+_word = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7e),
+                max_size=6).map(str.encode)
 byte_documents = st.one_of(
     _encoded, st.binary(),
-    st.builds(_splice, _encoded, st.integers(0, 10**6),
-              st.sampled_from([b"\xff", b"\xc3(", b"\x80", b"\xed\xa0\x80"])))
+    st.builds(_splice, _encoded, st.integers(0, 10**6), _not_utf8),
+    st.builds(_with_value, diagrams(), st.sampled_from(["name", "note"]),
+              _word, _not_utf8, _word))
 
 
 class TestTotality:

@@ -12,6 +12,7 @@ from anndiag import catalog_io, cli, diagram, families, labels, rational
 from anndiag.labels import LabelKind, ViolationCode
 
 HOT = (
+    families.family_labels,
     families.family_diagram,
     families.decide_equivalence,
     labels.AnnulusLabel.__init__,
@@ -23,7 +24,7 @@ HOT = (
     diagram.shape_of,
     diagram.validate_diagram,
     catalog_io.serialize,
-    cli._member,
+    cli._labels_text,
 )
 
 

@@ -2,21 +2,23 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from anndiag import (H1, H2, CatalogEntry, Diagram, Edge,
+from anndiag import (FAMILY_SHAPES, H1, H2, CatalogEntry, Diagram, Edge,
                      ExteriorDetermines, Family, FormClass, LabelKind,
                      NodeKind, ParameterOutOfDomain, ShapeClass, Slope,
                      SlopePair, TableKnot, Verdict, apply_unimodular,
                      are_isomorphic, base_diagram, decide_equivalence,
                      distinguish, ell, e_family_crossing_number,
-                     family_diagram, k1, label_to_text,
+                     family_diagram, family_labels, k1, label_to_text,
                      leelee2_companion_torus_knot, pair_form, shape_of,
                      validate_diagram)
 from gen import AT_LIMIT
 
 U = NodeKind.UNKNOWN
+OUT_OF_DOMAIN = [(Family.LL1, 0), (Family.LL1_VARIANT, 0),
+                 (Family.LL1_VARIANT, -1)]
 
 
 def family_domain(f, lo=-5, hi=5):
@@ -54,12 +56,20 @@ class TestGenerators:
         for n in (-3, 0, 5):
             assert shape_of(family_diagram(Family.E, n)) is ShapeClass.CIRCLE
 
-    @pytest.mark.parametrize("family, n", [
-        (Family.LL1, 0), (Family.LL1_VARIANT, 0), (Family.LL1_VARIANT, -1),
-    ])
+    @pytest.mark.parametrize("family, n", OUT_OF_DOMAIN)
     def test_domain_errors(self, family, n):
-        with pytest.raises(ParameterOutOfDomain):
-            family_diagram(family, n)
+        for member in (family_labels, family_diagram):
+            with pytest.raises(ParameterOutOfDomain):
+                member(family, n)
+
+    @given(st.sampled_from(Family),
+           st.integers(-3, 3) | st.integers(-10**40, 10**40))
+    def test_member_is_its_labels_on_the_layout(self, family, n):
+        # What `table` prints of a member: its labels and its family's shape.
+        assume((family, n) not in OUT_OF_DOMAIN)
+        d = family_diagram(family, n)
+        assert tuple(e.label for e in d.edges) == family_labels(family, n)
+        assert shape_of(d) is FAMILY_SHAPES[family]
 
     @pytest.mark.parametrize("family", list(Family))
     def test_outputs_pass_lenient_validation(self, family):
