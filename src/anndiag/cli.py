@@ -17,15 +17,15 @@ import os
 import sys
 
 from .catalog_io import DiagramDocument, parse, serialize
-from .diagram import canonical_form, shape_of, validate_diagram
+from .diagram import canonical_form, validate_diagram
 from .errors import DiagramError, ParameterOutOfDomain, ParseError
 from .families import (FAMILY_SHAPES, Family, TableKnot, base_diagram,
                        decide_equivalence, family_diagram, family_labels)
 from .labels import AnnulusLabel, Strictness, label_to_text
 from .rational import scan_digits
 
-_FAMILY_NAMES = {f.value for f in Family}
-_KNOT_NAMES = {k.value: k for k in TableKnot}
+_FAMILIES = {f.value: f for f in Family}
+_CATALOG = {k.value: base_diagram(k) for k in TableKnot}
 
 
 class _CliError(Exception):
@@ -57,8 +57,8 @@ def _read_document(path: str) -> DiagramDocument:
 
 def _resolve(target: str) -> DiagramDocument:
     """The document a table knot, ``family:n`` or file target names."""
-    if target in _KNOT_NAMES:
-        entry = base_diagram(_KNOT_NAMES[target])
+    entry = _CATALOG.get(target)
+    if entry is not None:
         if entry.diagram is None:
             raise _CliError(2, f"{target} has no recorded diagram")
         return DiagramDocument(
@@ -66,7 +66,8 @@ def _resolve(target: str) -> DiagramDocument:
             note=(f"shape={entry.shape.value}; exterior determines knot "
                   f"type: {entry.exterior_determines.value}"))
     family, _, number = target.partition(":")
-    if family not in _FAMILY_NAMES:
+    f = _FAMILIES.get(family)
+    if f is None:
         return _read_document(target)
     try:
         n = integer(number)
@@ -74,13 +75,12 @@ def _resolve(target: str) -> DiagramDocument:
         raise _CliError(2, f"{family} parameter: {err}") from None
     except ValueError:
         return _read_document(target)
-    f = Family(family)
     try:
         d = family_diagram(f, n)
     except ParameterOutOfDomain as err:
         raise _CliError(2, str(err)) from None
     _labels_text(f, tuple(e.label for e in d.edges))  # exit 2 if too large
-    return DiagramDocument(d, name=target, note=f"shape={shape_of(d).value}")
+    return DiagramDocument(d, name=target, note=f"shape={FAMILY_SHAPES[f].value}")
 
 
 def integer(text: str) -> int:
@@ -105,15 +105,14 @@ def _labels_text(family: Family, labels: tuple[AnnulusLabel, ...]) -> str:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    if args.target in _KNOT_NAMES:
-        entry = base_diagram(_KNOT_NAMES[args.target])
-        if entry.diagram is None:
-            print(f"{entry.name}: no diagram recorded")
-            print(f"shape: {entry.shape.value}")
-            print("exterior determines knot type: "
-                  f"{entry.exterior_determines.value}")
-            print(f"note: {entry.notes}")
-            return 0
+    entry = _CATALOG.get(args.target)
+    if entry is not None and entry.diagram is None:
+        print(f"{entry.name}: no diagram recorded")
+        print(f"shape: {entry.shape.value}")
+        print("exterior determines knot type: "
+              f"{entry.exterior_determines.value}")
+        print(f"note: {entry.notes}")
+        return 0
     print(serialize(_resolve(args.target)), end="")
     return 0
 
@@ -121,7 +120,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.frm > args.to:
         raise _CliError(2, f"empty range: {args.frm} > {args.to}")
-    family = Family(args.family)
+    family = _FAMILIES[args.family]
     shape = FAMILY_SHAPES[family]._value_
     write = sys.stdout.write
     for n in range(args.frm, args.to + 1):

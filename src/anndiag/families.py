@@ -9,6 +9,9 @@ n, each in one closed form (``family_labels``).  Where a twist acts on a
 table knot's slope, that form is the slope's image under the twist's
 unimodular matrix (``apply_unimodular``), checked for every n drawn.
 
+The knot catalog is one table built at import: ``base_diagram`` returns
+its shared entry, so each catalog diagram keeps its canonical key.
+
 Slope formulas per family (n the twist count):
 
 * Motto family (twists on the 6_1 exterior): h2 plus k2 with slope
@@ -151,39 +154,39 @@ def family_diagram(f: Family, n: int) -> Diagram:
 FAMILY_SHAPES = {f: shape_of(family_diagram(f, 1)) for f in Family}
 
 
-def base_diagram(knot: TableKnot) -> CatalogEntry:
-    """The catalog entry of a table knot.
-
-    4_1 has no recorded diagram: its characteristic diagram is the theta
-    shape but the edge labels are not stated, and inventing them would
-    create false (non-)isomorphisms.
-    """
-    if knot is TableKnot.K4_1:
-        return CatalogEntry(
-            "4_1", None, ShapeClass.THETA, ExteriorDetermines.YES,
-            "theta-shaped characteristic diagram; any handlebody-knot whose "
-            "exterior has this characteristic diagram is equivalent to 4_1, "
-            "and the theta criterion applies; edge labels unrecorded")
-    if knot is TableKnot.K5_1:
-        d = Diagram((_U,), (Edge(0, 0, H1),))
-        return CatalogEntry(
-            "5_1", d, ShapeClass.OTHER, ExteriorDetermines.UNKNOWN,
-            "a single type 2-1 annulus, the unique essential annulus in the "
-            "exterior; no equivalence criterion is known for this diagram")
-    if knot is TableKnot.K5_2:
-        d = Diagram((_U, _U), (Edge(0, 1, k1(Slope(4, 3))),))
-        return CatalogEntry(
-            "5_2", d, ShapeClass.STICK, ExteriorDetermines.NO,
-            "stick diagram with k1(4/3): the exterior is the I-bundle piece "
-            "glued to a solid torus along the cabling annulus of a "
-            "(4,3)-torus knot; the Lee-Lee II twist family realizes "
-            "infinitely many inequivalent knots with this exterior")
-    d = Diagram((_U, _U, _U), (Edge(0, 1, H2), Edge(1, 2, k2(Slope(2, 1)))))
-    return CatalogEntry(
-        "6_1", d, ShapeClass.CIRCLE_STICK, ExteriorDetermines.YES,
+_CATALOG = {TableKnot(entry.name): entry for entry in (
+    CatalogEntry(
+        "4_1", None, ShapeClass.THETA, ExteriorDetermines.YES,
+        "theta-shaped characteristic diagram; any handlebody-knot whose "
+        "exterior has this characteristic diagram is equivalent to 4_1, "
+        "and the theta criterion applies; edge labels unrecorded"),
+    CatalogEntry(
+        "5_1", Diagram((_U,), (Edge(0, 0, H1),)),
+        ShapeClass.OTHER, ExteriorDetermines.UNKNOWN,
+        "a single type 2-1 annulus, the unique essential annulus in the "
+        "exterior; no equivalence criterion is known for this diagram"),
+    CatalogEntry(
+        "5_2", Diagram((_U, _U), (Edge(0, 1, k1(Slope(4, 3))),)),
+        ShapeClass.STICK, ExteriorDetermines.NO,
+        "stick diagram with k1(4/3): the exterior is the I-bundle piece "
+        "glued to a solid torus along the cabling annulus of a "
+        "(4,3)-torus knot; the Lee-Lee II twist family realizes "
+        "infinitely many inequivalent knots with this exterior"),
+    CatalogEntry(
+        "6_1", Diagram((_U, _U, _U), (Edge(0, 1, H2), Edge(1, 2, k2(Slope(2, 1))))),
+        ShapeClass.CIRCLE_STICK, ExteriorDetermines.YES,
         "circle-stick diagram with h2 and k2(2), the type 3-2ii annulus "
         "being the frontier of a Mobius band of boundary slope 2; the "
-        "circle-stick criterion shows the exterior determines the knot type")
+        "circle-stick criterion shows the exterior determines the knot type"),
+)}
+
+
+def base_diagram(knot: TableKnot) -> CatalogEntry:
+    """The shared catalog entry of a table knot.  4_1 has no recorded
+    diagram: its characteristic diagram is the theta shape but the edge
+    labels are not stated, and inventing them would create false
+    (non-)isomorphisms."""
+    return _CATALOG[knot]
 
 
 _DECISIVE_SHAPES = (ShapeClass.CIRCLE_STICK, ShapeClass.THETA)

@@ -67,9 +67,6 @@ class Slope:
     def is_infinite(self) -> bool:
         return self.q == 0
 
-    def reciprocal(self) -> "Slope":
-        return Slope(self.q, self.p)
-
     def __str__(self) -> str:
         if self.q == 0:
             return "inf"

@@ -13,9 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anndiag
-from anndiag import DiagramDocument, TableKnot, base_diagram, parse, serialize
+from anndiag import (DiagramDocument, Family, TableKnot, base_diagram,
+                     family_diagram, parse, serialize)
 from anndiag.cli import _build_parser, main
 from gen import AT_LIMIT, dense_ends, diagrams, grammar_text
+from oracle import shape
 
 FIVE_TWO_SHOW = (
     "annulusdiagram v1\n"
@@ -77,6 +79,16 @@ class TestShow:
         status, out, _ = run(capsys, "show", "motto:1")
         assert status == 0
         assert out == MOTTO_ONE_SHOW
+
+    @pytest.mark.parametrize("target", [
+        "motto:0", "motto:-3", "ll1:2", "ll1:-1", "ll1v:2", "ll1v:-2",
+        "ll2:0", "ll2:-4", "e:1", "e:-2"])
+    def test_every_family(self, target, capsys):
+        # The note's shape comes from the oracle's rule, not FAMILY_SHAPES.
+        family, _, n = target.partition(":")
+        d = family_diagram(Family(family), int(n))
+        doc = DiagramDocument(d, name=target, note=f"shape={shape(d)}")
+        assert run(capsys, "show", target) == (0, serialize(doc), "")
 
     def test_output_reparses_to_the_catalog_diagram(self, capsys):
         for name, knot in (("5_1", TableKnot.K5_1), ("5_2", TableKnot.K5_2),

@@ -4,12 +4,11 @@ as ``LabelKind.K1`` goes through ``EnumType.__getattr__`` and costs about ten
 times a global read.  ``ViolationCode`` is read only when a violation is
 built, so it stays.  No test here needs pytest."""
 
-import dis
-import types
 from enum import Enum
 
 from anndiag import catalog_io, cli, diagram, families, labels, rational
 from anndiag.labels import LabelKind, ViolationCode
+from bytecode_walk import instructions
 
 HOT = (
     families.family_labels,
@@ -25,6 +24,8 @@ HOT = (
     diagram.validate_diagram,
     catalog_io.serialize,
     cli._labels_text,
+    cli._resolve,
+    cli._cmd_show,
 )
 
 
@@ -32,16 +33,12 @@ def enum_globals(func):
     """Names of the Enum classes, other than ViolationCode, that ``func`` or
     a code object nested in it (a comprehension, say) loads as a global."""
     found = set()
-    codes = [func.__code__]
-    while codes:
-        code = codes.pop()
-        for ins in dis.get_instructions(code):
-            if ins.opname == "LOAD_GLOBAL":
-                value = func.__globals__.get(ins.argval)
-                if (isinstance(value, type) and issubclass(value, Enum)
-                        and value is not ViolationCode):
-                    found.add(ins.argval)
-        codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    for ins in instructions(func):
+        if ins.opname == "LOAD_GLOBAL":
+            value = func.__globals__.get(ins.argval)
+            if (isinstance(value, type) and issubclass(value, Enum)
+                    and value is not ViolationCode):
+                found.add(ins.argval)
     return found
 
 
@@ -57,5 +54,4 @@ def _reads_members(edges):
 
 def test_the_check_sees_enum_reads():
     assert enum_globals(_reads_members) == {"LabelKind"}
-    assert enum_globals(families.base_diagram) == {
-        "TableKnot", "ShapeClass", "ExteriorDetermines"}
+    assert enum_globals(cli._build_parser.__wrapped__) == {"Family"}

@@ -14,6 +14,7 @@ from anndiag import (FAMILY_SHAPES, H1, H2, CatalogEntry, Diagram, Edge,
                      family_diagram, family_labels, k1, label_to_text,
                      leelee2_companion_torus_knot, pair_form, shape_of,
                      validate_diagram)
+from anndiag.cli import main
 from gen import AT_LIMIT
 
 U = NodeKind.UNKNOWN
@@ -151,6 +152,23 @@ class TestCatalog:
             if entry.diagram is not None:
                 assert validate_diagram(entry.diagram).ok
                 assert shape_of(entry.diagram) is entry.shape
+
+    def test_exterior_determines_exactly_on_the_decisive_shapes(self):
+        # The shapes on which decide_equivalence can answer EQUIVALENT.
+        decisive = {ShapeClass.CIRCLE_STICK, ShapeClass.THETA}
+        for knot in TableKnot:
+            entry = base_diagram(knot)
+            assert ((entry.exterior_determines is ExteriorDetermines.YES)
+                    == (entry.shape in decisive))
+
+    @pytest.mark.parametrize("knot", list(TableKnot))
+    def test_entry_is_built_once(self, knot):
+        assert base_diagram(knot) is base_diagram(knot)
+
+    def test_cli_keys_the_shared_diagram(self, capsys):
+        assert main(["canon", "6_1"]) == 0
+        key = bytes.fromhex(capsys.readouterr().out)
+        assert base_diagram(TableKnot.K6_1).diagram._key == key
 
     def test_entry_shape_consistency_enforced(self):
         with pytest.raises(ValueError):

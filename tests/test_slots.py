@@ -6,13 +6,12 @@ here needs pytest; ``assert_slotted`` serves the per-type tests too."""
 
 import copy
 import dataclasses
-import dis
 import pickle
-import types
 
 from anndiag.diagram import Diagram, Edge
 from anndiag.labels import AnnulusLabel
 from anndiag.rational import Slope, SlopePair
+from bytecode_walk import instructions
 
 SLOTTED = (Slope, SlopePair, AnnulusLabel, Edge)
 
@@ -22,14 +21,8 @@ CLONES = (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)))
 def loads_object(func):
     """True iff ``func`` or a code object nested in it loads the global
     ``object``."""
-    codes = [func.__code__]
-    while codes:
-        code = codes.pop()
-        if any(ins.opname == "LOAD_GLOBAL" and ins.argval == "object"
-               for ins in dis.get_instructions(code)):
-            return True
-        codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-    return False
+    return any(ins.opname == "LOAD_GLOBAL" and ins.argval == "object"
+               for ins in instructions(func))
 
 
 def test_inits_load_no_object_global():

@@ -3,11 +3,11 @@ the family's shape in ``FAMILY_SHAPES``.  No row builds an ``Edge`` or a
 ``Diagram`` or runs ``shape_of``: a family's shape does not change with n.
 No test here needs pytest."""
 
-import dis
 import types
 
 from anndiag import cli
 from anndiag.diagram import Diagram
+from bytecode_walk import instructions
 
 PER_MEMBER = {"family_diagram", "shape_of", "Diagram", "Edge", "_member"}
 LOADS = {"LOAD_GLOBAL", "LOAD_NAME", "LOAD_DEREF", "LOAD_ATTR", "LOAD_METHOD"}
@@ -19,20 +19,15 @@ def names_loaded(func):
     names, funcs, seen = set(), [func], {func}
     while funcs:
         f = funcs.pop()
-        codes = [f.__code__]
-        while codes:
-            code = codes.pop()
-            for ins in dis.get_instructions(code):
-                if ins.opname not in LOADS:
-                    continue
-                names.add(ins.argval)
-                value = f.__globals__.get(ins.argval)
-                if (isinstance(value, types.FunctionType) and value not in seen
-                        and value.__module__ == f.__module__):
-                    seen.add(value)
-                    funcs.append(value)
-            codes.extend(c for c in code.co_consts
-                         if isinstance(c, types.CodeType))
+        for ins in instructions(f):
+            if ins.opname not in LOADS:
+                continue
+            names.add(ins.argval)
+            value = f.__globals__.get(ins.argval)
+            if (isinstance(value, types.FunctionType) and value not in seen
+                    and value.__module__ == f.__module__):
+                seen.add(value)
+                funcs.append(value)
     return names
 
 
