@@ -16,6 +16,12 @@ tabs.  ``name:`` and ``note:`` may each appear at most once, after the
 edges.  The parser tolerates trailing whitespace and blank lines, nothing
 else, and reports errors with 1-based line and column.  Files store the
 diagram exactly as given; canonicalization is never applied on I/O.
+
+An ``edge:`` line is read in one match of a pattern composed from the
+label and slope patterns of :mod:`anndiag.labels` and
+:mod:`anndiag.rational`.  The token scanner runs only when that match gives
+no edge (no match, a number past the int-string limit, a 0/0 slope, a
+dangling endpoint), and only to raise the positioned error.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from .diagram import MAX_NODES, Diagram, Edge, NodeKind
 from .errors import (DanglingEndpoint, DiagramError, ParseError, TooManyNodes,
                      UnsupportedVersion)
-from .labels import label_to_text, scan_label
+from .labels import LABEL_PATTERN, label_to_text, matched_label, scan_label
 from .rational import scan_digits, skip_ws
 
 __all__ = ["FORMAT_VERSION", "DiagramDocument", "serialize", "parse"]
@@ -37,6 +43,9 @@ _HEADER = f"annulusdiagram {FORMAT_VERSION}"
 _HEADER_RE = re.compile("annulusdiagram v([0-9]+)")
 _NODE_KINDS = {k.value: k for k in NodeKind}
 _BLANK_SEPARATED = re.compile("[^ \t]+")  # tokens between spaces and tabs
+# An edge line: its key, two node indices, and LABEL_PATTERN's five groups.
+_EDGE = re.compile(
+    rf"edge:[ \t]*([0-9]+)[ \t]+([0-9]+)[ \t]*(?:{LABEL_PATTERN})[ \t]*")
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,24 @@ def _parse_nodes(line: str) -> list[NodeKind]:
 
 
 def _parse_edge(line: str, node_count: int) -> Edge:
+    """The edge of an ``edge:`` line, in one match of ``_EDGE``; a line that
+    does not match, a number past the int-string limit, a 0/0 slope or a
+    dangling endpoint goes to the scanner, which raises the positioned
+    error."""
+    m = _EDGE.fullmatch(line)
+    if m is not None:
+        groups = m.groups()
+        try:
+            a, b = int(groups[0]), int(groups[1])
+            if a < node_count and b < node_count:
+                return Edge(a, b, matched_label(*groups[2:]))
+        except ValueError:  # int()'s limit, or ZeroOverZero
+            pass
+    return _scan_edge(line, node_count)
+
+
+def _scan_edge(line: str, node_count: int) -> Edge:
+    """The edge of an ``edge:`` line, read token by token."""
     a_at = skip_ws(line, len("edge:"))
     a, pos = scan_digits(line, a_at)
     b = None

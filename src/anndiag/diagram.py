@@ -22,8 +22,8 @@ from typing import Iterable
 
 from .errors import DanglingEndpoint, TooManyNodes
 from .labels import (AnnulusLabel, LabelKind, SeparationClass, Strictness,
-                     ValidationResult, Violation, ViolationCode, label_to_text,
-                     separation_class, validate_label)
+                     ValidationResult, Violation, ViolationCode, label_finding,
+                     label_to_text, separation_class, validate_label)
 
 __all__ = [
     "MAX_NODES",
@@ -363,14 +363,20 @@ def validate_diagram(d: Diagram,
     """
     violations: list[Violation] = []
     warnings: list[Violation] = []
+    em_edges: list[int] = []
+    non_sep: list[int] = []
     for i, e in enumerate(d.edges):
-        result = validate_label(e.label, strictness, where=f"edge {i}")
-        violations.extend(result.violations)
-        warnings.extend(result.warnings)
+        lab = e.label
+        found = label_finding(lab, strictness)
+        if found is not None:
+            warning, code, detail = found
+            (warnings if warning else violations).append(
+                Violation(code, f"edge {i}", detail))
+        if lab.kind is _EM:
+            em_edges.append(i)
+        if separation_class(lab) is _NON_SEPARATING:
+            non_sep.append(i)
 
-    em_edges = [i for i, e in enumerate(d.edges) if e.label.kind is _EM]
-    non_sep = [i for i, e in enumerate(d.edges)
-               if separation_class(e.label) is _NON_SEPARATING]
     if em_edges and non_sep:
         violations.append(Violation(
             ViolationCode.EM_WITH_NON_SEPARATING, "diagram",

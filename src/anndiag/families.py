@@ -142,12 +142,21 @@ def family_labels(f: Family, n: int) -> tuple[AnnulusLabel, ...]:
     return (H2,)
 
 
+# Each family's node kinds, the edges of its labels but the last, and the
+# ends of the last, keyed by the family's value (a Family key hashes through
+# Python code).  Only the last label varies with n (motto's h2 is fixed), so
+# every member shares the other edges of member 1.
+_MEMBERS = {
+    f._value_: (nodes, tuple(Edge(a, b, label) for (a, b), label
+                             in zip(ends, family_labels(f, 1)[:-1])), ends[-1])
+    for f, (nodes, ends) in _LAYOUTS.items()}
+
+
 def family_diagram(f: Family, n: int) -> Diagram:
     """The n-th member of a twist family: ``family_labels(f, n)`` on the
     family's layout, every node kind UNKNOWN."""
-    nodes, ends = _LAYOUTS[f]
-    return Diagram(nodes, [Edge(a, b, label) for (a, b), label
-                           in zip(ends, family_labels(f, n))])
+    nodes, fixed, (a, b) = _MEMBERS[f._value_]
+    return Diagram(nodes, (*fixed, Edge(a, b, family_labels(f, n)[-1])))
 
 
 # Every member has the shape of member 1, which is in every domain.

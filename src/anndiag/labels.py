@@ -15,6 +15,11 @@ SLOPE is the slope syntax of :mod:`anndiag.rational`, with ASCII digits
 
 ``l(?)`` is a type 3-3 label whose slope pair is not recorded; it exists for
 catalog entries only and generators never emit it.
+
+``LABEL_PATTERN`` states the same grammar as a regular expression, for a
+parser that reads a whole line in one match; ``matched_label`` builds the
+label from its groups.  :func:`scan_label` reads the same text and alone
+positions an error.
 """
 
 from __future__ import annotations
@@ -23,8 +28,20 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParseError
-from .rational import (FormClass, Slope, SlopePair, expect_char, pair_form,
-                       parse_whole, scan_slope, scan_slope_pair, skip_ws)
+from .rational import (SLOPE_PATTERN, FormClass, Slope, SlopePair,
+                       expect_char, pair_form, parse_whole, scan_slope,
+                       scan_slope_pair, skip_ws, slope_of_token)
+
+# LABEL of the grammar above as one pattern.  Its groups, in order: a bare
+# tag; a k tag and its slope; the two slopes of an l pair (all five are None
+# for l(?)).  A bare tag ends where scan_label's isalnum()/"_" run ends,
+# which is \w; a tag with a payload is followed by blanks and "(".
+_BLANKS = r"[ \t]*"
+LABEL_PATTERN = (
+    r"(h1|h2|em)(?!\w)"
+    rf"|(k1|k2){_BLANKS}\({_BLANKS}({SLOPE_PATTERN}){_BLANKS}\)"
+    rf"|l{_BLANKS}\({_BLANKS}(?:\?|({SLOPE_PATTERN}){_BLANKS},{_BLANKS}"
+    rf"({SLOPE_PATTERN})){_BLANKS}\)")
 
 __all__ = [
     "LabelKind",
@@ -198,33 +215,41 @@ def validate_label(lab: AnnulusLabel,
     3-2ii slope remain valid.  l pairs must match one of the two legal
     forms; an absent pair passes with a warning.  h1, h2, em always pass.
     """
-    violations: list[Violation] = []
-    warnings: list[Violation] = []
+    found = label_finding(lab, strictness)
+    if found is None:
+        return ValidationResult()
+    warning, code, detail = found
+    if warning:
+        return ValidationResult((), (Violation(code, where, detail),))
+    return ValidationResult((Violation(code, where, detail),))
+
+
+def label_finding(lab: AnnulusLabel, strictness: Strictness
+                  ) -> tuple[bool, ViolationCode, str] | None:
+    """The one finding :func:`validate_label` reports on a label, as
+    (is it a warning, code, detail), or None when the label passes.  A
+    caller names the place of the finding only when there is one."""
     kind = lab.kind
     if kind is _K1 or kind is _K2:
         s = lab.slope
         if s.is_infinite:
-            violations.append(Violation(
-                ViolationCode.FINITE_SLOPE_REQUIRED, where,
-                f"{kind._value_} slope must be finite, got inf"))
-        elif s.is_integral and (kind is _K1 or strictness is _STRICT):
-            violations.append(Violation(
-                ViolationCode.NON_INTEGRAL_REQUIRED, where,
-                f"{kind._value_} slope must be non-integral, got {s}"))
+            return (False, ViolationCode.FINITE_SLOPE_REQUIRED,
+                    f"{kind._value_} slope must be finite, got inf")
+        if s.is_integral and (kind is _K1 or strictness is _STRICT):
+            return (False, ViolationCode.NON_INTEGRAL_REQUIRED,
+                    f"{kind._value_} slope must be non-integral, got {s}")
     elif kind is _L:
-        if lab.pair is None:
-            warnings.append(Violation(
-                ViolationCode.MISSING_SLOPE_PAIR, where,
-                "l label without a recorded slope pair"))
-        elif lab.pair.first.is_infinite or lab.pair.second.is_infinite:
-            violations.append(Violation(
-                ViolationCode.FINITE_SLOPE_REQUIRED, where,
-                f"l slope pair must be finite, got {lab.pair}"))
-        elif pair_form(lab.pair) is _INVALID_FORM:
-            violations.append(Violation(
-                ViolationCode.SLOPE_PAIR_FORM_INVALID, where,
-                f"{lab.pair} matches neither (p/q,q/p) nor (p/q,pq)"))
-    return ValidationResult(tuple(violations), tuple(warnings))
+        pr = lab.pair
+        if pr is None:
+            return (True, ViolationCode.MISSING_SLOPE_PAIR,
+                    "l label without a recorded slope pair")
+        if pr.first.is_infinite or pr.second.is_infinite:
+            return (False, ViolationCode.FINITE_SLOPE_REQUIRED,
+                    f"l slope pair must be finite, got {pr}")
+        if pair_form(pr) is _INVALID_FORM:
+            return (False, ViolationCode.SLOPE_PAIR_FORM_INVALID,
+                    f"{pr} matches neither (p/q,q/p) nor (p/q,pq)")
+    return None
 
 
 def label_to_text(lab: AnnulusLabel) -> str:
@@ -238,6 +263,21 @@ def label_to_text(lab: AnnulusLabel) -> str:
 
 
 _TAGS = ("h1", "h2", "em", "k1", "k2", "l")
+
+_BARE = {"h1": H1, "h2": H2, "em": EM}
+
+
+def matched_label(bare: str | None, k: str | None, slope: str | None,
+                  first: str | None, second: str | None) -> AnnulusLabel:
+    """The label ``LABEL_PATTERN`` matched, from its five groups.  Raises
+    what :func:`slope_of_token` raises."""
+    if bare is not None:
+        return _BARE[bare]
+    if k is not None:
+        return AnnulusLabel(_KINDS[k], slope_of_token(slope))
+    if first is None:
+        return ell()
+    return ell(SlopePair(slope_of_token(first), slope_of_token(second)))
 
 
 def scan_label(text: str, pos: int = 0) -> tuple[AnnulusLabel, int]:

@@ -174,6 +174,10 @@ def pair_form(pr: SlopePair) -> FormClass:
 #
 # SLOPE ::= "inf" | "-"? DIGITS ("/" DIGITS)?
 # PAIR  ::= "(" SLOPE "," SLOPE ")"
+#
+# SLOPE_PATTERN is SLOPE as a regular expression, for a parser that reads a
+# whole line in one match; slope_of_token reads the slope of its match.
+SLOPE_PATTERN = "inf|-?[0-9]+(?:/[0-9]+)?"
 
 _match_digits = re.compile("[0-9]*").match
 
@@ -195,8 +199,8 @@ def expect_char(text: str, pos: int, ch: str) -> int:
 
 def scan_digits(text: str, pos: int) -> tuple[int | None, int]:
     """Read ASCII digits at ``pos``; return (value, or None if there are
-    none, and the next position).  This is the package's one ``int()`` of
-    scanned text: a run past the int-string limit is a ParseError."""
+    none, and the next position).  This is the scanners' one ``int()``: a
+    run past the int-string limit is a ParseError."""
     end = _match_digits(text, pos).end()
     if end == pos:
         return None, pos
@@ -237,6 +241,16 @@ def scan_slope(text: str, pos: int = 0) -> tuple[Slope, int]:
         return Slope(-p if neg else p, q), end
     except ZeroOverZero:
         raise ParseError("slope 0/0 is unrepresentable", col=pos + 1) from None
+
+
+def slope_of_token(token: str) -> Slope:
+    """The slope of a token that ``SLOPE_PATTERN`` matched.  ``int()``
+    raises ValueError past the int-string limit, and a 0/0 token raises
+    :class:`ZeroOverZero`; :func:`scan_slope` positions either error."""
+    if token == "inf":
+        return INFINITY
+    p, _, q = token.partition("/")
+    return Slope(int(p), int(q) if q else 1)
 
 
 def scan_slope_pair(text: str, pos: int = 0) -> tuple[SlopePair, int]:

@@ -7,7 +7,9 @@ here from each label's fields), the number of isomorphism classes by
 Burnside's lemma, diagram shapes by counting label kinds
 against the rules of the ``ShapeClass`` docstring, and slope-pair forms are
 decided with fractions.Fraction arithmetic straight from the definitions
-(p/q, q/p) with pq != 0 and (p/q, pq) with q != 0.
+(p/q, q/p) with pq != 0 and (p/q, pq) with q != 0.  Diagram validation is
+checked against its composition from the label rule: ``validate_label`` on
+each edge, then rules G1 and G2, each over the edges on its own.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+
+from anndiag import (LabelKind, SeparationClass, ShapeClass, ValidationResult,
+                     Violation, ViolationCode, label_to_text, separation_class,
+                     shape_of, validate_label)
 
 
 def brute_force_isomorphic(d1, d2) -> bool:
@@ -140,3 +146,34 @@ def expected_pair_form(a: Fraction, b: Fraction) -> str:
     if product:
         return "product"
     return "invalid"
+
+
+def composed_validation(d, strictness) -> ValidationResult:
+    """``validate_diagram`` as a composition: each edge's
+    ``validate_label`` result placed at ``edge i``, then rule G1 from the
+    em edges and the non-separating ones, then rule G2 on a stick."""
+    violations, warnings = [], []
+    for i, e in enumerate(d.edges):
+        result = validate_label(e.label, strictness, where=f"edge {i}")
+        violations.extend(result.violations)
+        warnings.extend(result.warnings)
+
+    em_edges = [i for i, e in enumerate(d.edges)
+                if e.label.kind is LabelKind.EM]
+    non_sep = [i for i, e in enumerate(d.edges)
+               if separation_class(e.label) is SeparationClass.NON_SEPARATING]
+    if em_edges and non_sep:
+        violations.append(Violation(
+            ViolationCode.EM_WITH_NON_SEPARATING, "diagram",
+            f"em edge {em_edges[0]} cannot coexist with non-separating "
+            f"edge(s) {', '.join(str(i) for i in non_sep)}"))
+
+    if shape_of(d) is ShapeClass.STICK:
+        lab = d.edges[0].label
+        if lab.kind is not LabelKind.K1 or not validate_label(lab).ok:
+            violations.append(Violation(
+                ViolationCode.STICK_MUST_BE_K1, "diagram",
+                f"stick diagram must carry k1 with a non-integral slope, "
+                f"got {label_to_text(lab)}"))
+
+    return ValidationResult(tuple(violations), tuple(warnings))

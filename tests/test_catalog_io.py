@@ -2,14 +2,17 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anndiag import (H2, DanglingEndpoint, Diagram, DiagramDocument,
                      DiagramError, Edge, NodeKind, ParseError, TableKnot,
                      TooManyNodes, UnsupportedVersion, base_diagram, parse,
                      parse_label, parse_slope, parse_slope_pair, serialize)
-from gen import TOO_LONG, diagrams, grammar_text, random_document_diagram
+from anndiag.catalog_io import _EDGE, _parse_edge, _scan_edge
+from anndiag.labels import label_to_text
+from gen import (TOO_LONG, diagrams, grammar_text, labels,
+                 random_document_diagram)
 
 U = NodeKind.UNKNOWN
 
@@ -215,6 +218,72 @@ class TestParseErrors:
         assert (err.value.line, err.value.col) == (line, col)
         assert str(err.value) == f"line {line}, column {col}: {err.value.message}"
         assert not isinstance(err.value, ParseError)
+
+
+# A digit run past the int-string limit where there is one.
+LONG = TOO_LONG or "1" * 5000
+# Edge-line text: the label alphabet, both blanks, "?", ",", parentheses,
+# digits that are not ASCII, and long digit runs.
+EDGE_TOKENS = st.sampled_from(
+    ["h1", "h2", "em", "k1", "k2", "l", "inf", "-", "/", "(", ")", ",", "?",
+     " ", "\t", " \t", "²", "٣", "x", "_", "0", "1", "07", "12", "0/0", LONG])
+
+INDEX = st.one_of(st.integers(0, 8).map(str), st.sampled_from(["07", "٣", "²"]))
+# Digits that str.isdigit accepts and int() may read, as often as the rest.
+SPLICES = st.one_of(EDGE_TOKENS, st.sampled_from(["²", "٣", "١٢"]))
+
+
+@st.composite
+def edge_lines(draw):
+    """An edge line as written, with up to three runs of its characters
+    replaced by tokens, or tokens alone after the key."""
+    if draw(st.integers(0, 4)) == 0:
+        return "edge: " + "".join(draw(st.lists(EDGE_TOKENS, max_size=12)))
+    a, b = draw(INDEX), draw(INDEX)
+    line = f"edge: {a} {b} {label_to_text(draw(labels))}"
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(len("edge:"), len(line)))
+        j = draw(st.integers(i, min(i + 2, len(line))))
+        line = line[:i] + draw(SPLICES) + line[j:]
+    return line
+
+
+def edge_outcome(read, line, node_count):
+    """The edge ``read`` gives, or its error's type, column and message."""
+    try:
+        return read(line, node_count)
+    except (ParseError, DiagramError) as err:
+        return type(err), err.col, err.message
+
+
+class TestEdgeLines:
+    """An edge line read in one match of ``_EDGE`` is the edge the token
+    scanner reads; a line the match does not take gets the scanner's
+    error."""
+
+    @settings(max_examples=1000)
+    @given(edge_lines(), st.integers(0, 9))
+    @example("edge: 0 1 k1(0/0)", 2)
+    @example(f"edge: 0 1 k1({LONG}/3)", 2)
+    @example(f"edge: {LONG} 1 h1", 2)
+    @example("edge: 0 1h1", 2)
+    @example("edge: 0 1 h1x", 2)
+    @example("edge: 0 1 k1(-inf)", 2)
+    @example("edge: 0 1 k1 ( 2/3 )", 2)
+    @example("edge: 0 0 l(?)", 1)
+    @example("edge: 0 0 l( 1/2 ,2 )", 1)
+    @example("edge: 0 5 h2", 2)
+    @example("edge: 0 1 k1(٣/2)", 2)
+    def test_the_pattern_reads_as_the_scanner(self, line, node_count):
+        assert (edge_outcome(_parse_edge, line, node_count)
+                == edge_outcome(_scan_edge, line, node_count))
+
+    def test_every_written_edge_line_matches(self):
+        rng = random.Random(2401)
+        for _ in range(300):
+            text = serialize(DiagramDocument(random_document_diagram(rng)))
+            for line in text.splitlines()[2:]:
+                assert _EDGE.fullmatch(line), line
 
 
 class TestFuzz:

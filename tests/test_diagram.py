@@ -17,10 +17,11 @@ from anndiag import (EM, H1, H2, MAX_NODES, DanglingEndpoint, Diagram, Edge,
                      canonical_form, ell, family_diagram, k1, k2, shape_of,
                      validate_diagram)
 from gen import (DENSITIES, dense_ends, diagrams, enumerate_diagrams,
-                 permuted_copy, random_diagram, shaped_diagrams,
-                 simple_diagrams)
+                 permuted_copy, random_diagram, random_document_diagram,
+                 shaped_diagrams, simple_diagrams)
 from gen import labels as labels_strategy
-from oracle import brute_force_isomorphic, brute_force_key, burnside_count
+from oracle import (brute_force_isomorphic, brute_force_key, burnside_count,
+                    composed_validation)
 from oracle import shape as oracle_shape
 from test_slots import assert_slotted
 
@@ -455,6 +456,26 @@ class TestValidation:
         result = validate_diagram(d)
         assert result.ok
         assert [w.where for w in result.warnings] == ["edge 0"]
+
+    @staticmethod
+    def findings(result):
+        return ([(v.code, v.where, v.detail) for v in result.violations],
+                [(w.code, w.where, w.detail) for w in result.warnings])
+
+    @pytest.mark.parametrize("strictness", list(Strictness))
+    @settings(max_examples=300)
+    @given(d=diagrams(max_nodes=4, max_edges=6))
+    def test_matches_the_composed_rules(self, strictness, d):
+        assert (self.findings(validate_diagram(d, strictness))
+                == self.findings(composed_validation(d, strictness)))
+
+    def test_matches_the_composed_rules_on_document_diagrams(self):
+        rng = random.Random(24)
+        for _ in range(2000):
+            d = random_document_diagram(rng)
+            for strictness in Strictness:
+                assert (self.findings(validate_diagram(d, strictness))
+                        == self.findings(composed_validation(d, strictness)))
 
     @pytest.mark.parametrize("strictness", list(Strictness))
     @given(lab=labels_strategy)

@@ -16,6 +16,7 @@ HOT = (
     families.decide_equivalence,
     labels.AnnulusLabel.__init__,
     labels.validate_label,
+    labels.label_finding,
     labels.separation_class,
     labels.label_to_text,
     labels.scan_label,
@@ -23,6 +24,8 @@ HOT = (
     diagram.shape_of,
     diagram.validate_diagram,
     catalog_io.serialize,
+    catalog_io.parse,
+    catalog_io._parse_edge,
     cli._labels_text,
     cli._resolve,
     cli._cmd_show,
