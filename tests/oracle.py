@@ -2,25 +2,55 @@
 
 These deliberately avoid the code paths they verify: isomorphism is decided
 by raw permutation search over node bijections, canonical keys by
-minimizing the encoding over every node permutation (label texts rendered
-here from each label's fields), the number of isomorphism classes by
-Burnside's lemma, diagram shapes by counting label kinds
-against the rules of the ``ShapeClass`` docstring, and slope-pair forms are
-decided with fractions.Fraction arithmetic straight from the definitions
-(p/q, q/p) with pq != 0 and (p/q, pq) with q != 0.  Diagram validation is
-checked against its composition from the label rule: ``validate_label`` on
-each edge, then rules G1 and G2, each over the edges on its own.
+minimizing the encoding over every node permutation, the number of
+isomorphism classes by Burnside's lemma, and slope-pair forms with
+fractions.Fraction arithmetic straight from the definitions (p/q, q/p) with
+pq != 0 and (p/q, pq) with q != 0.  Diagram validation is checked against
+its composition from the label rule: ``validate_label`` on each edge, then
+rules G1 and G2, each over the edges on its own.
+
+Label and slope text, shapes, family members, v1 documents and the
+validation rules are stated once, in the benchmark's anndiag-free model
+``perfbench/models.py``; :func:`model` converts a src diagram to that
+model's form from its fields alone.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 from anndiag import (LabelKind, SeparationClass, ShapeClass, ValidationResult,
                      Violation, ViolationCode, label_to_text, separation_class,
                      shape_of, validate_label)
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import models  # noqa: E402
+
+
+def _model_slope(s):
+    return models.INF if s.q == 0 else Fraction(s.p, s.q)
+
+
+def model_label(lab):
+    """A src label as a model label, from its kind's text and its payload."""
+    tag = lab.kind.value
+    if lab.slope is not None:
+        return (tag, _model_slope(lab.slope))
+    if tag == "l":
+        pair = lab.pair
+        return ("l", None if pair is None else
+                (_model_slope(pair.first), _model_slope(pair.second)))
+    return (tag,)
+
+
+def model(d):
+    """A src diagram as a model diagram ``(kinds, edges)``."""
+    return (tuple(k.value for k in d.nodes),
+            tuple((e.a, e.b, model_label(e.label)) for e in d.edges))
 
 
 def brute_force_isomorphic(d1, d2) -> bool:
@@ -46,48 +76,13 @@ def brute_force_isomorphic(d1, d2) -> bool:
     return False
 
 
-def shape(d) -> str:
-    """The shape class's value by the rules of the ``ShapeClass``
-    docstring, from a count of each label kind's text."""
-    kinds = Counter(e.label.kind.value for e in d.edges)
-    if kinds == Counter(["h2"]):
-        return "circle"
-    if kinds in (Counter(["h2", "k1"]), Counter(["h2", "k2"])):
-        return "circle-stick"
-    if kinds == Counter(["l", "h2", "h2"]):
-        return "theta"
-    if (len(d.nodes) == 2 and len(d.edges) == 1
-            and d.edges[0].a != d.edges[0].b):
-        return "stick"
-    return "other"
-
-
-def _slope_text(s) -> str:
-    if s.q == 0:
-        return "inf"
-    return str(s.p) if s.q == 1 else f"{s.p}/{s.q}"
-
-
-def label_text(lab) -> str:
-    """A label in the ASCII grammar, from its fields alone."""
-    kind = lab.kind.value
-    if lab.slope is not None:
-        return f"{kind}({_slope_text(lab.slope)})"
-    if kind == "l":
-        if lab.pair is None:
-            return "l(?)"
-        first, second = lab.pair.first, lab.pair.second
-        return f"l({_slope_text(first)},{_slope_text(second)})"
-    return kind
-
-
 def brute_force_key(d) -> bytes:
     """The least encoding over all node permutations: the permuted kind
     vector, ``|``, and the ``;``-joined sorted (min endpoint, max endpoint,
     label) triples.  No permutation is skipped; each label is rendered once,
-    by :func:`label_text`."""
+    by the model's ``label_text``."""
     n = len(d.nodes)
-    edges = [(e.a, e.b, label_text(e.label)) for e in d.edges]
+    edges = [(a, b, models.label_text(lab)) for a, b, lab in model(d)[1]]
     best = None
     for perm in permutations(range(n)):
         kinds = [None] * n
@@ -134,6 +129,7 @@ def _is_product_form(x: Fraction, y: Fraction) -> bool:
     return y == Fraction(x.numerator * x.denominator)
 
 
+# perfbench/test_models.py checks the model's pair_form against this.
 def expected_pair_form(a: Fraction, b: Fraction) -> str:
     """Classification of the unordered pair {a, b}: one of ``reciprocal``,
     ``product``, ``both``, ``invalid``."""

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -13,11 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anndiag
-from anndiag import (DiagramDocument, Family, TableKnot, base_diagram,
-                     family_diagram, parse, serialize)
+from anndiag import (DiagramDocument, TableKnot, base_diagram, parse,
+                     serialize)
 from anndiag.cli import _build_parser, main
 from gen import AT_LIMIT, dense_ends, diagrams, grammar_text
-from oracle import shape
+from oracle import models
 
 FIVE_TWO_SHOW = (
     "annulusdiagram v1\n"
@@ -82,13 +81,14 @@ class TestShow:
 
     @pytest.mark.parametrize("target", [
         "motto:0", "motto:-3", "ll1:2", "ll1:-1", "ll1v:2", "ll1v:-2",
-        "ll2:0", "ll2:-4", "e:1", "e:-2"])
+        "ll2:0", "ll2:-4", "e:1", "e:-2",
+        pytest.param("ll2:" + "9" * 300, id="ll2:9x300")])
     def test_every_family(self, target, capsys):
-        # The note's shape comes from the oracle's rule, not FAMILY_SHAPES.
+        # The member and its shape come from the model alone.
         family, _, n = target.partition(":")
-        d = family_diagram(Family(family), int(n))
-        doc = DiagramDocument(d, name=target, note=f"shape={shape(d)}")
-        assert run(capsys, "show", target) == (0, serialize(doc), "")
+        member = models.member(family, int(n))
+        want = models.document(member, target, f"shape={models.shape(member)}")
+        assert run(capsys, "show", target) == (0, want, "")
 
     def test_output_reparses_to_the_catalog_diagram(self, capsys):
         for name, knot in (("5_1", TableKnot.K5_1), ("5_2", TableKnot.K5_2),
@@ -161,34 +161,6 @@ class TestTable:
         assert err.value.code == 2
 
 
-def _fraction_text(f):
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _expected_row(family, n):
-    """A table row from the family's slope formula, or None out of domain."""
-    if family == "motto":  # 2 under (1, 0, -n, 1)
-        slope = Fraction(2, 1 - 2 * n)
-        return f"{n}\th2,k2({_fraction_text(slope)})\tcircle-stick"
-    if family == "ll2":  # 4/3 under (1, 4n, 0, 1)
-        return f"{n}\tk1({_fraction_text(Fraction(4, 3) + 4 * n)})\tstick"
-    if family == "e":
-        return f"{n}\th2\tcircle"
-    if family == "ll1":
-        if n == 0:
-            return None
-        pair = (Fraction(1, n), Fraction(n))
-    else:  # ll1v
-        if n in (0, -1):  # n/(n+1) undefined or integral
-            return None
-        pair = (Fraction(n, n + 1), Fraction(n + 1, n))
-    # The pair prints its member with the larger denominator first.
-    pair = sorted(pair, key=lambda f: (-f.denominator, -f.numerator))
-    return f"{n}\tl({','.join(map(_fraction_text, pair))})\tother"
-
-
 class TestLargeTable:
     @pytest.mark.parametrize("family, frm, to", [
         ("motto", -1234, 1265), ("ll2", -600, 600), ("ll1v", -300, 300),
@@ -198,9 +170,9 @@ class TestLargeTable:
         assert (status, err) == (0, "")
         lines = out.splitlines(keepends=True)
         assert all(line.endswith("\n") for line in lines)
-        want = [_expected_row(family, n) for n in range(frm, to + 1)]
         assert [line[:-1] for line in lines] == [
-            w for w in want if w is not None]
+            models.table_row(family, n) for n in range(frm, to + 1)
+            if models.in_domain(family, n)]
 
 
 class TestCompare:

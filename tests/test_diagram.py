@@ -21,8 +21,7 @@ from gen import (DENSITIES, dense_ends, diagrams, enumerate_diagrams,
                  shaped_diagrams, simple_diagrams)
 from gen import labels as labels_strategy
 from oracle import (brute_force_isomorphic, brute_force_key, burnside_count,
-                    composed_validation)
-from oracle import shape as oracle_shape
+                    composed_validation, model, models)
 from test_slots import assert_slotted
 
 S, H, U = NodeKind.FIBERED, NodeKind.SIMPLE, NodeKind.UNKNOWN
@@ -133,12 +132,12 @@ class TestShape:
 
     @given(diagrams())
     def test_matches_the_docstring_rules(self, d):
-        assert shape_of(d).value == oracle_shape(d)
+        assert shape_of(d).value == models.shape(model(d))
 
     def test_matches_the_docstring_rules_on_small_universe(self):
         seen = set()
         for d in enumerate_diagrams(2, 3, kinds=(U,)):
-            want = oracle_shape(d)
+            want = models.shape(model(d))
             seen.add(want)
             assert shape_of(d).value == want, d
         assert seen == {s.value for s in ShapeClass}

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -16,6 +15,7 @@ from anndiag import (FAMILY_SHAPES, H1, H2, CatalogEntry, Diagram, Edge,
                      validate_diagram)
 from anndiag.cli import main
 from gen import AT_LIMIT
+from oracle import model, models
 
 U = NodeKind.UNKNOWN
 OUT_OF_DOMAIN = [(Family.LL1, 0), (Family.LL1_VARIANT, 0),
@@ -23,12 +23,7 @@ OUT_OF_DOMAIN = [(Family.LL1, 0), (Family.LL1_VARIANT, 0),
 
 
 def family_domain(f, lo=-5, hi=5):
-    for n in range(lo, hi + 1):
-        if f is Family.LL1 and n == 0:
-            continue
-        if f is Family.LL1_VARIANT and n in (0, -1):
-            continue
-        yield n
+    return (n for n in range(lo, hi + 1) if models.in_domain(f.value, n))
 
 
 class TestGenerators:
@@ -79,16 +74,15 @@ class TestGenerators:
 
     @pytest.mark.parametrize("n", range(-5, 6))
     def test_motto_slope_formula(self, n):
-        slope = family_diagram(Family.MOTTO, n).edges[1].label.slope
-        want = Fraction(2, 1 - 2 * n)
-        assert (slope.p, slope.q) == (want.numerator, want.denominator)
+        assert models.document(model(family_diagram(Family.MOTTO, n))) == \
+            models.document(models.member("motto", n))
 
     @pytest.mark.parametrize("n", range(-5, 6))
     def test_ll2_slope_formula_and_non_integrality(self, n):
-        slope = family_diagram(Family.LL2, n).edges[0].label.slope
-        want = Fraction(4, 3) + 4 * n
-        assert (slope.p, slope.q) == (want.numerator, want.denominator)
-        assert slope.q == 3
+        d = family_diagram(Family.LL2, n)
+        assert models.document(model(d)) == \
+            models.document(models.member("ll2", n))
+        assert d.edges[0].label.slope.q == 3
 
     @given(st.integers(-10**40, 10**40))
     def test_closed_forms_are_the_twist_images(self, n):

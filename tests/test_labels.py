@@ -9,7 +9,7 @@ from anndiag import (EM, H1, H2, AnnulusLabel, LabelKind, ParseError,
                      ViolationCode, ell, k1, k2, label_to_text, parse_label,
                      separation_class, validate_label)
 from gen import AT_LIMIT, TOO_LONG, labels
-from oracle import label_text
+from oracle import model_label, models
 from test_slots import assert_slotted
 
 PAIR = SlopePair(Slope(1, 2), Slope(2, 1))
@@ -205,7 +205,7 @@ class TestRenderedText:
     @given(labels)
     def test_text_is_the_oracles_and_repeats(self, lab):
         text = label_to_text(lab)
-        assert text == label_text(lab)
+        assert text == models.label_text(model_label(lab))
         assert label_to_text(lab) == text
         fresh = AnnulusLabel(lab.kind, lab.slope, lab.pair)
         assert label_to_text(fresh) == text
